@@ -11,11 +11,12 @@
 //!
 //! 1. **Present** — each shard enumerates the radius-`R` balls of its agent
 //!    range in one sweep over a shared
-//!    [`NeighborCache`], builds each ball's
-//!    local LP (9), and deduplicates the LPs by an exact *presentation key*
-//!    into a shard-local table.  A sequential merge then combines the
-//!    per-shard tables into the global presentation table (first-occurrence
-//!    order, so the numbering is independent of the backend).
+//!    [`NeighborCache`], computes each ball's exact *presentation key* from
+//!    reusable sorted scratch, and deduplicates the balls by key into a
+//!    shard-local table; only a shard-local first occurrence builds its
+//!    local LP (9).  A sequential merge then combines the per-shard tables
+//!    into the global presentation table (first-occurrence order, so the
+//!    numbering is independent of the backend).
 //! 2. **Canonicalise** — the unique presentations are sharded again; each
 //!    shard computes the exact canonical form ([`mmlp_core::canonical`]) of
 //!    its presentations and a shard-local *canonical-class table*.  The
@@ -58,9 +59,9 @@
 //! generator.
 //!
 //! [`SolveStats`] reports what the engine did: balls enumerated, distinct
-//! presentations, unique LP classes, cache hits, simplex solves and pivots,
-//! warm-start attempts and acceptances, wall-clock per stage and per-shard
-//! execution statistics.
+//! presentations, ball LPs built, unique LP classes, cache hits, simplex
+//! solves and pivots, warm-start attempts and acceptances, wall-clock per
+//! stage and per-shard execution statistics.
 
 use crate::transport::{
     engine_registry, CanonWireStage, DeltaPresentWireStage, LiftedCanonWireStage, PresentWireStage,
@@ -80,7 +81,7 @@ use mmlp_parallel::{
     Sequential, Shard, Sharded, SolveBackend, StageStats, SubprocessBackend, TransportError,
     WireStage,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -415,6 +416,12 @@ pub struct SolveStats {
     pub balls_enumerated: usize,
     /// Number of distinct LP *presentations* (cheap first-level grouping).
     pub distinct_presentations: usize,
+    /// Number of ball LPs the present stage actually built: the sum of every
+    /// shard's first occurrences.  Equal to
+    /// [`distinct_presentations`](SolveStats::distinct_presentations) on a
+    /// single shard and at most that times the shard count otherwise (a
+    /// presentation is built once per shard that meets it).
+    pub lps_built: usize,
     /// Number of unique canonical LP classes among the balls.
     pub unique_classes: usize,
     /// Number of LP solve jobs that were answered from the class cache
@@ -810,6 +817,7 @@ fn run_pipeline<B: SolveBackend>(
     let cache = h.neighbor_cache();
     let run = backend
         .execute_stage(n, &PresentWireStage { instance, cache: &cache, radius: options.radius })?;
+    let lps_built = run.outputs.iter().map(|shard| shard.reps.len()).sum();
     // Merge phase 2: per-shard presentation tables → global table, in shard
     // order (= agent order), so the numbering matches a sequential sweep.
     let mut balls: Vec<Vec<usize>> = Vec::with_capacity(n);
@@ -1059,6 +1067,7 @@ fn run_pipeline<B: SolveBackend>(
     let stats = SolveStats {
         balls_enumerated: n,
         distinct_presentations: reps.len(),
+        lps_built,
         unique_classes: num_classes,
         cache_hits: n - jobs_submitted,
         lp_solves,
@@ -1437,6 +1446,7 @@ fn run_incremental<B: SolveBackend>(
         job.len()
     };
     let run = backend.execute_stage(affected.len(), &delta_stage)?;
+    let lps_built = run.outputs.iter().map(|shard| shard.reps.len()).sum();
     // Presentation merge, exactly as the cold pipeline (shard order = order
     // of the affected list, so the numbering is backend-independent).
     let mut balls_aff: Vec<Vec<usize>> = Vec::with_capacity(affected.len());
@@ -1649,6 +1659,7 @@ fn run_incremental<B: SolveBackend>(
         // re-presented — the work, not the instance size.
         balls_enumerated: affected.len(),
         distinct_presentations: reps.len(),
+        lps_built,
         unique_classes: class_keys.len(),
         cache_hits: n - lp_solves,
         lp_solves,
@@ -1727,8 +1738,9 @@ pub(crate) struct SolvedLp {
 // the byte boundary bit-identical by construction.
 // ---------------------------------------------------------------------------
 
-/// Stage 1 body: enumerate the balls of an agent range, build their local
-/// LPs and deduplicate them by presentation key into a shard-local table.
+/// Stage 1 body: enumerate the balls of an agent range, deduplicate them by
+/// presentation key into a shard-local table and build the local LP of each
+/// first occurrence.
 pub(crate) fn present_shard(
     instance: &MaxMinInstance,
     cache: &NeighborCache,
@@ -1757,43 +1769,163 @@ fn present_agent_list(
     agents: impl Iterator<Item = usize>,
 ) -> ShardPresentation {
     let mut enumerator = BallEnumerator::new(cache);
-    let presented: Vec<(Vec<usize>, PresentedLp)> = agents
-        .map(|u| {
-            let ball = enumerator.ball(u, radius);
-            let lp = present_ball_lp(instance, &ball);
-            (ball, lp)
-        })
-        .collect();
-    // Shard-local presentation table, in first-occurrence order.
-    let mut by_key: HashMap<&[u64], usize> = HashMap::new();
-    let mut rep_indices: Vec<usize> = Vec::new();
-    let mut pres_of_ball = Vec::with_capacity(presented.len());
-    for (idx, (_, lp)) in presented.iter().enumerate() {
-        let id = match by_key.get(lp.key.as_slice()) {
+    let mut sweep = PresentSweep::new(instance);
+    // Shard-local presentation table, in first-occurrence order.  Only a
+    // first occurrence builds its LP; every repeat costs its key words and
+    // one lookup.
+    let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut balls = Vec::new();
+    let mut pres_of_ball = Vec::new();
+    let mut reps: Vec<PresentedLp> = Vec::new();
+    for u in agents {
+        let ball = enumerator.ball(u, radius);
+        sweep.present(&ball);
+        let id = match by_key.get(sweep.key.as_slice()) {
             Some(&id) => id,
             None => {
-                let id = rep_indices.len();
-                by_key.insert(&lp.key, id);
-                rep_indices.push(idx);
+                let id = reps.len();
+                by_key.insert(sweep.key.clone(), id);
+                reps.push(PresentedLp {
+                    instance: sweep.build(ball.len()),
+                    key: sweep.key.clone(),
+                });
                 id
             }
         };
         pres_of_ball.push(id);
-    }
-    drop(by_key);
-    let mut is_rep = vec![false; presented.len()];
-    for &idx in &rep_indices {
-        is_rep[idx] = true;
-    }
-    let mut balls = Vec::with_capacity(presented.len());
-    let mut reps = Vec::with_capacity(rep_indices.len());
-    for (idx, (ball, lp)) in presented.into_iter().enumerate() {
         balls.push(ball);
-        if is_rep[idx] {
-            reps.push(lp);
-        }
     }
     ShardPresentation { balls, pres_of_ball, reps }
+}
+
+/// The reusable scratch of one shard's presentation sweep.  Presenting a
+/// ball fills sorted flat buffers with the ball's clipped resources and its
+/// fully contained parties and emits the presentation key from them, in
+/// `O(|ball| · Δ)` — without scanning the full instance the way
+/// `MaxMinInstance::restrict_to_agents` does, and without allocating per
+/// ball.  [`build`](PresentSweep::build) turns the buffers into the LP (9),
+/// which the sweep's caller does only for first occurrences.
+struct PresentSweep<'a> {
+    instance: &'a MaxMinInstance,
+    /// `local_of[v]` is `v`'s index in the current ball, `usize::MAX` for
+    /// agents outside it.
+    local_of: Vec<usize>,
+    /// `(resource, local agent, a)` for every member of the ball, sorted by
+    /// resource then local agent.
+    resources: Vec<(usize, usize, f64)>,
+    /// Parties with a member in the ball, sorted and deduplicated.
+    party_candidates: Vec<usize>,
+    /// `(local agent, c)` of the parties lying entirely inside the ball,
+    /// party after party, each sorted by local agent.
+    parties: Vec<(usize, f64)>,
+    /// End offset in `parties` of each kept party.
+    party_ends: Vec<usize>,
+    /// The current ball's presentation key: the LP's dimensions, then
+    /// every resource (`SEP_RESOURCE`, then `local, a` pairs) and every
+    /// kept party (`SEP_PARTY`, then `local, c` pairs) in id order.
+    key: Vec<u64>,
+}
+
+impl<'a> PresentSweep<'a> {
+    fn new(instance: &'a MaxMinInstance) -> Self {
+        Self {
+            instance,
+            local_of: vec![usize::MAX; instance.num_agents()],
+            resources: Vec::new(),
+            party_candidates: Vec::new(),
+            parties: Vec::new(),
+            party_ends: Vec::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Fills the buffers and the key for one (sorted) ball.
+    fn present(&mut self, ball: &[usize]) {
+        let instance = self.instance;
+        self.resources.clear();
+        self.party_candidates.clear();
+        // Members in ball order: each resource's entries arrive sorted by
+        // local index, so the sort below only groups them by resource.
+        for (local, &v) in ball.iter().enumerate() {
+            self.local_of[v] = local;
+            let agent = instance.agent(AgentId::new(v));
+            self.resources
+                .extend(agent.resources.iter().map(|&(i, a)| (i.index(), local, a)));
+            self.party_candidates.extend(agent.parties.iter().map(|&(k, _)| k.index()));
+        }
+        self.resources.sort_unstable_by_key(|&(i, local, _)| (i, local));
+        self.party_candidates.sort_unstable();
+        self.party_candidates.dedup();
+        // Parties whose support lies entirely inside the ball.
+        self.parties.clear();
+        self.party_ends.clear();
+        'parties: for &k in &self.party_candidates {
+            let start = self.parties.len();
+            for &(v, c) in instance.party(PartyId::new(k)).members() {
+                let local = self.local_of[v.index()];
+                if local == usize::MAX {
+                    self.parties.truncate(start);
+                    continue 'parties;
+                }
+                self.parties.push((local, c));
+            }
+            self.parties[start..].sort_unstable_by_key(|&(local, _)| local);
+            self.party_ends.push(self.parties.len());
+        }
+        for &v in ball {
+            self.local_of[v] = usize::MAX;
+        }
+
+        let key = &mut self.key;
+        key.clear();
+        key.extend([ball.len() as u64, 0, self.party_ends.len() as u64]);
+        let mut num_resources = 0u64;
+        let mut previous = usize::MAX;
+        for &(i, local, a) in &self.resources {
+            if i != previous {
+                key.push(SEP_RESOURCE);
+                num_resources += 1;
+                previous = i;
+            }
+            key.extend([local as u64, a.to_bits()]);
+        }
+        key[1] = num_resources;
+        let mut start = 0;
+        for &end in &self.party_ends {
+            key.push(SEP_PARTY);
+            for &(local, c) in &self.parties[start..end] {
+                key.extend([local as u64, c.to_bits()]);
+            }
+            start = end;
+        }
+    }
+
+    /// The LP (9) of the ball last presented: resources clipped to the
+    /// ball, parties kept only when their support lies entirely inside,
+    /// agents the ball members in sorted order.
+    fn build(&self, ball_len: usize) -> MaxMinInstance {
+        let mut b =
+            InstanceBuilder::with_capacity(ball_len, self.key[1] as usize, self.party_ends.len());
+        let agents = b.add_agents(ball_len);
+        let mut previous = usize::MAX;
+        let mut resource = ResourceId::new(0);
+        for &(i, local, a) in &self.resources {
+            if i != previous {
+                resource = b.add_resource();
+                previous = i;
+            }
+            b.set_consumption(resource, agents[local], a);
+        }
+        let mut start = 0;
+        for &end in &self.party_ends {
+            let k = b.add_party();
+            for &(local, c) in &self.parties[start..end] {
+                b.set_benefit(k, agents[local], c);
+            }
+            start = end;
+        }
+        b.build().expect("ball restriction preserves validity")
+    }
 }
 
 /// Stage 2 body: canonicalise a shard's presentations and build the
@@ -1947,65 +2079,13 @@ pub(crate) struct PresentedLp {
     pub(crate) key: Vec<u64>,
 }
 
-/// Builds the local LP of one ball in `O(|ball| · Δ)` — without scanning the
-/// full instance the way `MaxMinInstance::restrict_to_agents` does.
-fn present_ball_lp(instance: &MaxMinInstance, ball: &[usize]) -> PresentedLp {
-    let local_of = |v: AgentId| ball.binary_search(&v.index()).ok();
-
-    // Resources intersecting the ball, clipped to it.  Iterating members in
-    // ball order keeps every entry list sorted by local index.
-    let mut resources: BTreeMap<ResourceId, Vec<(usize, f64)>> = BTreeMap::new();
-    let mut party_candidates: BTreeSet<PartyId> = BTreeSet::new();
-    for (local, &v) in ball.iter().enumerate() {
-        let agent = instance.agent(AgentId::new(v));
-        for (i, a) in &agent.resources {
-            resources.entry(*i).or_default().push((local, *a));
-        }
-        for (k, _) in &agent.parties {
-            party_candidates.insert(*k);
-        }
-    }
-    // Parties whose support lies entirely inside the ball.
-    let mut parties: BTreeMap<PartyId, Vec<(usize, f64)>> = BTreeMap::new();
-    for k in party_candidates {
-        let support = instance.party(k).members();
-        let locals: Option<Vec<(usize, f64)>> =
-            support.iter().map(|(v, c)| local_of(*v).map(|l| (l, *c))).collect();
-        if let Some(mut locals) = locals {
-            locals.sort_unstable_by_key(|(l, _)| *l);
-            parties.insert(k, locals);
-        }
-    }
-
-    let mut key = vec![ball.len() as u64, resources.len() as u64, parties.len() as u64];
-    let mut b = InstanceBuilder::with_capacity(ball.len(), resources.len(), parties.len());
-    let agents = b.add_agents(ball.len());
-    for entries in resources.values() {
-        let i = b.add_resource();
-        key.push(SEP_RESOURCE);
-        for &(local, a) in entries {
-            b.set_consumption(i, agents[local], a);
-            key.push(local as u64);
-            key.push(a.to_bits());
-        }
-    }
-    for entries in parties.values() {
-        let k = b.add_party();
-        key.push(SEP_PARTY);
-        for &(local, c) in entries {
-            b.set_benefit(k, agents[local], c);
-            key.push(local as u64);
-            key.push(c.to_bits());
-        }
-    }
-    let instance = b.build().expect("ball restriction preserves validity");
-    PresentedLp { instance, key }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmlp_instances::{grid_instance, random_instance, GridConfig, RandomInstanceConfig};
+    use mmlp_instances::{
+        grid_instance, random_instance, skewed_bipartite_instance, GridConfig,
+        RandomInstanceConfig, SkewedBipartiteConfig,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2014,30 +2094,142 @@ mod tests {
         grid_instance(&cfg, &mut StdRng::seed_from_u64(9))
     }
 
-    #[test]
-    fn presented_ball_lp_matches_restrict_to_agents() {
-        // `present_ball_lp` builds the same LP as `restrict_to_agents`, up to
-        // the order of the entries inside each support list (the fast path
-        // sorts them by local index; the reference keeps insertion order) —
-        // so the two must agree exactly after canonicalisation.
-        let mut rng = StdRng::seed_from_u64(3);
-        let inst = random_instance(
-            &RandomInstanceConfig { num_agents: 18, ..Default::default() },
-            &mut rng,
-        );
-        let (h, _) = communication_hypergraph(&inst);
-        for u in 0..inst.num_agents() {
-            let ball = h.ball(u, 1);
+    /// The presentation key of an LP from its stored coefficients, each
+    /// support list read in local-index order.
+    fn reference_key(lp: &MaxMinInstance) -> Vec<u64> {
+        let mut key =
+            vec![lp.num_agents() as u64, lp.num_resources() as u64, lp.num_parties() as u64];
+        let supports = lp
+            .resource_ids()
+            .map(|i| (SEP_RESOURCE, lp.resource(i).members()))
+            .chain(lp.party_ids().map(|k| (SEP_PARTY, lp.party(k).members())));
+        for (sep, members) in supports {
+            let mut entries: Vec<(usize, u64)> =
+                members.iter().map(|(v, c)| (v.index(), c.to_bits())).collect();
+            entries.sort_unstable();
+            key.push(sep);
+            for (local, bits) in entries {
+                key.extend([local as u64, bits]);
+            }
+        }
+        key
+    }
+
+    /// The shard presentation of `agents`, built the slow way: each ball LP
+    /// from `MaxMinInstance::restrict_to_agents`, deduplicated by key in
+    /// first-occurrence order.  Returns the balls, `pres_of_ball` and the
+    /// representatives' keys.
+    fn reference_presentation(
+        instance: &MaxMinInstance,
+        radius: usize,
+        agents: &[usize],
+    ) -> (Vec<Vec<usize>>, Vec<usize>, Vec<Vec<u64>>) {
+        let (h, _) = communication_hypergraph(instance);
+        let mut balls = Vec::new();
+        let mut pres_of_ball = Vec::new();
+        let mut keys: Vec<Vec<u64>> = Vec::new();
+        for &u in agents {
+            let ball = h.ball(u, radius);
             let keep: Vec<AgentId> = ball.iter().map(|&v| AgentId::new(v)).collect();
-            let (reference, _) = inst.restrict_to_agents(&keep);
-            let presented = present_ball_lp(&inst, &ball);
-            assert_eq!(presented.instance.num_agents(), reference.num_agents());
-            assert_eq!(presented.instance.num_resources(), reference.num_resources());
-            assert_eq!(presented.instance.num_parties(), reference.num_parties());
-            let a = canonical_form(&presented.instance);
-            let b = canonical_form(&reference);
-            assert_eq!(a.key, b.key, "ball of agent {u}");
-            assert_eq!(a.instance, b.instance, "ball of agent {u}");
+            let key = reference_key(&instance.restrict_to_agents(&keep).0);
+            let id = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                keys.len() - 1
+            });
+            pres_of_ball.push(id);
+            balls.push(ball);
+        }
+        (balls, pres_of_ball, keys)
+    }
+
+    fn assert_matches_reference(
+        label: &str,
+        got: &ShardPresentation,
+        instance: &MaxMinInstance,
+        radius: usize,
+        agents: &[usize],
+    ) {
+        let (balls, pres_of_ball, keys) = reference_presentation(instance, radius, agents);
+        assert_eq!(got.balls, balls, "{label}: balls");
+        assert_eq!(got.pres_of_ball, pres_of_ball, "{label}: pres_of_ball");
+        let got_keys: Vec<&Vec<u64>> = got.reps.iter().map(|r| &r.key).collect();
+        assert_eq!(got_keys, keys.iter().collect::<Vec<_>>(), "{label}: representative keys");
+        for (r, rep) in got.reps.iter().enumerate() {
+            // The built LP carries exactly the coefficients its key encodes.
+            assert_eq!(reference_key(&rep.instance), keys[r], "{label}: representative {r}");
+        }
+    }
+
+    #[test]
+    fn key_first_sweep_matches_the_restrict_to_agents_reference() {
+        // Random and degree-skewed instances over many seeds, at radii 1
+        // and 2, for the cold sweep over agent ranges and the delta sweep
+        // over scattered agent lists of a patched instance.
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random = random_instance(
+                &RandomInstanceConfig {
+                    num_agents: 14 + seed as usize % 7,
+                    zero_one_coefficients: seed % 3 == 0,
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            let skewed = skewed_bipartite_instance(
+                &SkewedBipartiteConfig {
+                    num_agents: 30,
+                    num_resources: 14,
+                    num_parties: 20,
+                    weight_jitter: if seed % 2 == 0 { 0.0 } else { 0.05 },
+                    ..Default::default()
+                },
+                &mut rng,
+            );
+            for (name, inst) in [("random", &random), ("skewed", &skewed)] {
+                let n = inst.num_agents();
+                let (h, _) = communication_hypergraph(inst);
+                let cache = h.neighbor_cache();
+                for radius in [1usize, 2] {
+                    let label = format!("{name} seed {seed} R={radius}");
+                    let cut = n / 3;
+                    for range in [0..n, cut..n - cut] {
+                        let agents: Vec<usize> = range.clone().collect();
+                        let got = present_shard(inst, &cache, radius, range);
+                        assert_matches_reference(
+                            &format!("{label} cold"),
+                            &got,
+                            inst,
+                            radius,
+                            &agents,
+                        );
+                    }
+                    // The delta sweep: patch every third agent's first
+                    // resource weight and re-present a scattered agent list.
+                    let edits: Vec<WeightEdit> = (0..n)
+                        .step_by(3)
+                        .map(|v| {
+                            let (i, a) = inst.agent(AgentId::new(v)).resources[0];
+                            WeightEdit {
+                                kind: WeightKind::Consumption,
+                                row: i.index(),
+                                agent: v,
+                                weight: a * 1.5,
+                            }
+                        })
+                        .collect();
+                    let delta = InstanceDelta { base_version: 0, edits };
+                    let patched = delta.apply(inst).unwrap();
+                    let agents: Vec<usize> = (0..n).rev().step_by(2).collect();
+                    let got = present_agents(&patched, &cache, radius, &agents);
+                    assert_matches_reference(
+                        &format!("{label} delta"),
+                        &got,
+                        &patched,
+                        radius,
+                        &agents,
+                    );
+                }
+            }
         }
     }
 

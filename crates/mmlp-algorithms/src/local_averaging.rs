@@ -164,28 +164,56 @@ pub fn local_averaging(
     let local_x = &batch.local_x;
     let local_lp_pivots = batch.stats.total_pivots;
 
-    // Resource statistics n_i, N_i and party statistics m_k, M_k.
+    // Resource statistics n_i, N_i and party statistics m_k, M_k.  The
+    // union and intersection sizes are counted over the member balls with
+    // one marker array each: `stamp[v] == i` marks `v` as counted for
+    // resource `i`, and `hits[v]` counts the member balls of the current
+    // party containing `v` (reset after each party).
     let mut resource_ratio: Vec<f64> = Vec::with_capacity(instance.num_resources());
-    let mut n_over: BTreeMap<usize, (usize, usize)> = BTreeMap::new(); // i -> (n_i, N_i)
+    let mut n_over: Vec<(usize, usize)> = Vec::with_capacity(instance.num_resources()); // (n_i, N_i)
+    let mut stamp = vec![usize::MAX; n];
     for i in instance.resource_ids() {
-        let members: Vec<usize> = instance.resource_support(i).map(|v| v.index()).collect();
-        let n_i = members.iter().map(|&j| balls[j].len()).min().expect("V_i is non-empty");
-        let union: BTreeSet<usize> =
-            members.iter().flat_map(|&j| balls[j].iter().copied()).collect();
-        let cap_n_i = union.len();
-        n_over.insert(i.index(), (n_i, cap_n_i));
+        let n_i = instance
+            .resource_support(i)
+            .map(|j| balls[j.index()].len())
+            .min()
+            .expect("V_i is non-empty");
+        let mut cap_n_i = 0usize;
+        for j in instance.resource_support(i) {
+            for &v in &balls[j.index()] {
+                if stamp[v] != i.index() {
+                    stamp[v] = i.index();
+                    cap_n_i += 1;
+                }
+            }
+        }
+        n_over.push((n_i, cap_n_i));
         resource_ratio.push(cap_n_i as f64 / n_i as f64);
     }
     let mut party_ratio: Vec<f64> = Vec::with_capacity(instance.num_parties());
+    let mut hits = vec![0usize; n];
     for k in instance.party_ids() {
-        let members: Vec<usize> = instance.party_support(k).map(|v| v.index()).collect();
-        let m_k_set: BTreeSet<usize> = members
+        let members = instance.party(k).members();
+        let mut m_k = 0usize;
+        for (j, _) in members {
+            for &v in &balls[j.index()] {
+                hits[v] += 1;
+                if hits[v] == members.len() {
+                    m_k += 1;
+                }
+            }
+        }
+        for (j, _) in members {
+            for &v in &balls[j.index()] {
+                hits[v] = 0;
+            }
+        }
+        let m_k = m_k.max(1);
+        let cap_m_k = members
             .iter()
-            .map(|&j| balls[j].iter().copied().collect::<BTreeSet<usize>>())
-            .reduce(|a, b| a.intersection(&b).copied().collect())
+            .map(|(j, _)| balls[j.index()].len())
+            .max()
             .expect("V_k is non-empty");
-        let m_k = m_k_set.len().max(1);
-        let cap_m_k = members.iter().map(|&j| balls[j].len()).max().expect("V_k is non-empty");
         party_ratio.push(cap_m_k as f64 / m_k as f64);
     }
     let guaranteed_ratio = resource_ratio.iter().copied().fold(1.0f64, f64::max)
@@ -198,7 +226,7 @@ pub fn local_averaging(
         let b_j = instance
             .agent_resources(AgentId::new(j))
             .map(|i| {
-                let (n_i, cap_n_i) = n_over[&i.index()];
+                let (n_i, cap_n_i) = n_over[i.index()];
                 n_i as f64 / cap_n_i as f64
             })
             .fold(f64::INFINITY, f64::min);
@@ -258,8 +286,10 @@ pub fn local_averaging_activity_from_view(
             .map(|&m| reconstruction.ball(m, radius).len())
             .min()
             .expect("V_i contains the centre");
-        let union: BTreeSet<usize> =
+        let mut union: Vec<usize> =
             members.iter().flat_map(|&m| reconstruction.ball(m, radius)).collect();
+        union.sort_unstable();
+        union.dedup();
         beta = beta.min(n_i as f64 / union.len() as f64);
     }
     if !beta.is_finite() {
@@ -275,7 +305,7 @@ pub fn local_averaging_activity_from_view(
     let mut sum = 0.0;
     for &u in &v_j {
         let ball_u = reconstruction.ball(u, radius);
-        let (sub, members) = reconstruction.restricted_instance(&ball_u, radius, u);
+        let (sub, members) = reconstruction.restricted_instance(&ball_u, u);
         if sub.num_parties() == 0 {
             continue;
         }
@@ -364,12 +394,7 @@ impl<'a> ViewReconstruction<'a> {
     ///
     /// Returns the sub-instance together with the original agent ids of its
     /// agents (sorted ascending, matching the sub-instance's agent indices).
-    fn restricted_instance(
-        &self,
-        ball_u: &[usize],
-        _radius: usize,
-        u: usize,
-    ) -> (MaxMinInstance, Vec<AgentId>) {
+    fn restricted_instance(&self, ball_u: &[usize], u: usize) -> (MaxMinInstance, Vec<AgentId>) {
         let member_ids: Vec<AgentId> = ball_u.iter().map(|&l| self.agents[l]).collect();
         let in_ball: BTreeSet<AgentId> = member_ids.iter().copied().collect();
         let mut b = InstanceBuilder::with_capacity(
@@ -394,8 +419,6 @@ impl<'a> ViewReconstruction<'a> {
                 b.set_consumption(i, new_agents[local_index(v)], a);
             }
         }
-        let u_agent = self.agents[u];
-        let dist_from_center = self.view.distance(u_agent).unwrap_or(usize::MAX);
         for members in self.parties.values() {
             // The support is certainly fully visible iff one member is within
             // view.radius − 1 of the view's centre; because every member we
@@ -410,7 +433,8 @@ impl<'a> ViewReconstruction<'a> {
                 members
                     .iter()
                     .any(|(v, _)| self.view.distance(*v).unwrap_or(usize::MAX) < self.view.radius),
-                "party support visibility cannot be certified (dist from centre {dist_from_center})"
+                "party support visibility cannot be certified (dist from centre {})",
+                self.view.distance(self.agents[u]).unwrap_or(usize::MAX)
             );
             let k = b.add_party();
             for (v, c) in members {

@@ -115,10 +115,11 @@ pub fn canonical_form(instance: &MaxMinInstance) -> CanonicalForm {
         };
     }
     let ctx = Context::new(instance);
+    let mut scratch = RefineScratch::default();
     let mut colors = vec![0u32; n];
-    ctx.refine(&mut colors);
+    ctx.refine(&mut colors, &mut scratch);
     let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
-    ctx.search(colors, &mut best);
+    ctx.search(colors, &mut best, &mut scratch);
     let (encoding, labelling) = best.expect("search always yields at least one labelling");
     let canonical = ctx.relabel(&labelling);
     CanonicalForm { key: CanonicalKey(encoding), labelling, instance: canonical }
@@ -259,84 +260,49 @@ impl<'a> Context<'a> {
         Self { instance, num_agents: instance.num_agents(), twin_class }
     }
 
-    /// One agent's refinement signature under the current colouring.
-    ///
-    /// The signature is a flat word list: own colour, then the sorted
-    /// multiset of incident resource shapes, then the sorted multiset of
-    /// incident party shapes.  A shape records the agent's own coefficient
-    /// and the full `(colour, coefficient)` membership of the hyperedge.
-    fn signature(&self, v: usize, colors: &[u32]) -> Vec<u64> {
-        let agent = &self.instance.agents[v];
-        let mut sig = vec![colors[v] as u64];
-        let mut shapes: Vec<Vec<u64>> = agent
-            .resources
-            .iter()
-            .map(|(i, a)| {
-                let mut shape = vec![a.to_bits()];
-                let mut members: Vec<(u64, u64)> = self.instance.resources[i.index()]
-                    .agents
-                    .iter()
-                    .map(|(u, b)| (colors[u.index()] as u64, b.to_bits()))
-                    .collect();
-                members.sort_unstable();
-                for (c, b) in members {
-                    shape.push(c);
-                    shape.push(b);
-                }
-                shape
-            })
-            .collect();
-        shapes.sort_unstable();
-        for shape in &shapes {
-            sig.push(SEP_RESOURCE);
-            sig.extend_from_slice(shape);
-        }
-        let mut shapes: Vec<Vec<u64>> = agent
-            .parties
-            .iter()
-            .map(|(k, c)| {
-                let mut shape = vec![c.to_bits()];
-                let mut members: Vec<(u64, u64)> = self.instance.parties[k.index()]
-                    .agents
-                    .iter()
-                    .map(|(u, b)| (colors[u.index()] as u64, b.to_bits()))
-                    .collect();
-                members.sort_unstable();
-                for (col, b) in members {
-                    shape.push(col);
-                    shape.push(b);
-                }
-                shape
-            })
-            .collect();
-        shapes.sort_unstable();
-        for shape in &shapes {
-            sig.push(SEP_PARTY);
-            sig.extend_from_slice(shape);
-        }
-        sig
-    }
-
     /// Runs colour refinement to a fixed point.  Colours are canonical ranks
     /// (0-based, ordered by signature), so the result is invariant under any
     /// permutation of the input agent ids.
-    fn refine(&self, colors: &mut [u32]) {
+    ///
+    /// An agent's signature is a flat word list: own colour, then the
+    /// sorted multiset of incident resource shapes, then the sorted multiset
+    /// of incident party shapes.  A shape records the agent's own
+    /// coefficient and the full `(colour, coefficient)` membership of the
+    /// hyperedge.  Each round writes all signatures back to back into
+    /// `scratch` and ranks the agents by comparing the slices, so colours
+    /// follow the exact lexicographic signature order.
+    fn refine(&self, colors: &mut [u32], scratch: &mut RefineScratch) {
         let n = self.num_agents;
-        let mut num_colors = colors.iter().collect::<std::collections::BTreeSet<_>>().len();
+        let mut num_colors = {
+            let distinct = &mut scratch.distinct;
+            distinct.clear();
+            distinct.extend_from_slice(colors);
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct.len()
+        };
         loop {
-            let sigs: Vec<Vec<u64>> = (0..n).map(|v| self.signature(v, colors)).collect();
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]));
+            scratch.sigs.clear();
+            scratch.sig_bounds.clear();
+            scratch.sig_bounds.push(0);
+            for v in 0..n {
+                scratch.push_signature(self.instance, v, colors);
+            }
+            let RefineScratch { sigs, sig_bounds, order, .. } = &mut *scratch;
+            let sig = |v: usize| &sigs[sig_bounds[v]..sig_bounds[v + 1]];
+            order.clear();
+            order.extend(0..n);
+            order.sort_unstable_by(|&a, &b| sig(a).cmp(sig(b)));
             let mut next = 0u32;
             let mut previous: Option<&[u64]> = None;
-            for &v in &order {
+            for &v in order.iter() {
                 if let Some(p) = previous {
-                    if p != sigs[v].as_slice() {
+                    if p != sig(v) {
                         next += 1;
                     }
                 }
                 colors[v] = next;
-                previous = Some(&sigs[v]);
+                previous = Some(sig(v));
             }
             let new_num = next as usize + 1;
             if new_num == num_colors {
@@ -349,7 +315,12 @@ impl<'a> Context<'a> {
     /// Individualisation search: explores every member of the first
     /// non-singleton colour class and keeps the lexicographically smallest
     /// complete encoding.
-    fn search(&self, colors: Vec<u32>, best: &mut Option<(Vec<u64>, Vec<usize>)>) {
+    fn search(
+        &self,
+        colors: Vec<u32>,
+        best: &mut Option<(Vec<u64>, Vec<usize>)>,
+        scratch: &mut RefineScratch,
+    ) {
         let n = self.num_agents;
         // Count class sizes to find the first non-singleton class.
         let mut class_size = vec![0usize; n];
@@ -382,8 +353,8 @@ impl<'a> Context<'a> {
             let mut branch = colors.clone();
             // Give `v` a fresh colour; refinement re-ranks everything.
             branch[v] = n as u32;
-            self.refine(&mut branch);
-            self.search(branch, best);
+            self.refine(&mut branch, scratch);
+            self.search(branch, best, scratch);
         }
     }
 
@@ -436,6 +407,76 @@ impl<'a> Context<'a> {
         let mut parties = self.relabelled_edges(&inst.parties, labelling, Party::members);
         parties.sort_unstable();
         assemble(self.num_agents, &resources, &parties)
+    }
+}
+
+/// The reusable buffers of colour refinement, shared by every round and
+/// every individualisation branch of one canonicalisation.
+#[derive(Default)]
+struct RefineScratch {
+    /// Every agent's signature, back to back.
+    sigs: Vec<u64>,
+    /// Agent `v`'s signature is `sigs[sig_bounds[v]..sig_bounds[v + 1]]`.
+    sig_bounds: Vec<usize>,
+    /// One agent's incident shapes of one kind, back to back.
+    shapes: Vec<u64>,
+    /// The `(start, end)` range of each shape in `shapes`.
+    shape_ranges: Vec<(usize, usize)>,
+    /// One hyperedge's `(colour, coefficient bits)` members.
+    members: Vec<(u64, u64)>,
+    /// Agents in signature order.
+    order: Vec<usize>,
+    /// The distinct input colours.
+    distinct: Vec<u32>,
+}
+
+impl RefineScratch {
+    /// Appends agent `v`'s signature under `colors` to `sigs`.
+    fn push_signature(&mut self, instance: &MaxMinInstance, v: usize, colors: &[u32]) {
+        let agent = &instance.agents[v];
+        self.sigs.push(u64::from(colors[v]));
+        let resources = agent
+            .resources
+            .iter()
+            .map(|(i, a)| (*a, instance.resources[i.index()].members()));
+        self.push_shapes(SEP_RESOURCE, resources, colors);
+        let parties = agent
+            .parties
+            .iter()
+            .map(|(k, c)| (*c, instance.parties[k.index()].members()));
+        self.push_shapes(SEP_PARTY, parties, colors);
+        self.sig_bounds.push(self.sigs.len());
+    }
+
+    /// Appends the sorted multiset of shapes of the given hyperedges (each
+    /// with the agent's own coefficient), every shape opened by `sep`.
+    fn push_shapes<'e>(
+        &mut self,
+        sep: u64,
+        edges: impl Iterator<Item = (f64, &'e [(AgentId, f64)])>,
+        colors: &[u32],
+    ) {
+        self.shapes.clear();
+        self.shape_ranges.clear();
+        for (own, members) in edges {
+            let start = self.shapes.len();
+            self.shapes.push(own.to_bits());
+            self.members.clear();
+            self.members
+                .extend(members.iter().map(|(u, b)| (u64::from(colors[u.index()]), b.to_bits())));
+            self.members.sort_unstable();
+            for &(c, b) in &self.members {
+                self.shapes.extend([c, b]);
+            }
+            self.shape_ranges.push((start, self.shapes.len()));
+        }
+        let shapes = &self.shapes;
+        self.shape_ranges
+            .sort_unstable_by(|&(s1, e1), &(s2, e2)| shapes[s1..e1].cmp(&shapes[s2..e2]));
+        for &(start, end) in &self.shape_ranges {
+            self.sigs.push(sep);
+            self.sigs.extend_from_slice(&shapes[start..end]);
+        }
     }
 }
 

@@ -1,0 +1,127 @@
+//! Golden canonical fingerprints.
+//!
+//! The conformance suites assert that every backend, shard count and mode
+//! agrees with every other — but a change to colour refinement or the
+//! individualisation search that altered canonical keys, labellings or the
+//! canonical LPs *the same way everywhere* would pass all of them, and
+//! would silently change which LP the simplex sees (and so, on degenerate
+//! balls, which optimum is scattered).  This suite pins one 64-bit FNV-1a
+//! fingerprint per input over
+//!
+//! * the engine's class keys (in class order) and each ball's class, and
+//! * for every ball `B_H(u, R)`, built independently with
+//!   [`MaxMinInstance::restrict_to_agents`]: the canonical key, the
+//!   canonical labelling and every coefficient bit of the canonical LP.
+//!
+//! A changed constant means canonical forms changed; that is never a
+//! refactoring detail.
+
+use maxmin_local_lp::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: impl IntoIterator<Item = u64>) {
+        for w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Folds one canonical LP's coefficient bits, resource by resource then
+/// party by party, each member as `(canonical agent, coefficient bits)`.
+fn fold_lp(h: &mut Fnv, lp: &MaxMinInstance) {
+    h.words([lp.num_agents() as u64, lp.num_resources() as u64, lp.num_parties() as u64]);
+    for i in lp.resource_ids() {
+        for &(v, a) in lp.resource(i).members() {
+            h.words([v.index() as u64, a.to_bits()]);
+        }
+    }
+    for k in lp.party_ids() {
+        for &(v, c) in lp.party(k).members() {
+            h.words([v.index() as u64, c.to_bits()]);
+        }
+    }
+}
+
+/// The fingerprint of one input: the engine's class table at `(radius, ε)`
+/// plus the (quasi-)canonical form of every reference ball LP.
+fn fingerprint(instance: &MaxMinInstance, radius: usize, epsilon: f64) -> u64 {
+    let mut h = Fnv::new();
+    let options = LocalLpOptions {
+        mode: SolveMode::Lifted { epsilon },
+        ..LocalLpOptions::new(radius).with_backend(BackendKind::Sequential)
+    };
+    let batch = solve_local_lps(instance, &options).unwrap();
+    for key in &batch.class_keys {
+        h.word(key.as_words().len() as u64);
+        h.words(key.as_words().iter().copied());
+    }
+    h.words(batch.class_of_ball.iter().map(|&c| c as u64));
+
+    let (graph, _) = communication_hypergraph(instance);
+    for u in 0..instance.num_agents() {
+        let ball: Vec<AgentId> = graph.ball(u, radius).into_iter().map(AgentId::new).collect();
+        let (lp, _) = instance.restrict_to_agents(&ball);
+        let quasi = quasi_canonical_form(&lp, epsilon);
+        h.words(quasi.form.key.as_words().iter().copied());
+        h.words(quasi.form.labelling.iter().map(|&c| c as u64));
+        fold_lp(&mut h, &quasi.form.instance);
+        h.word(quasi.slack.to_bits());
+    }
+    h.0
+}
+
+fn grid(side: usize, torus: bool) -> MaxMinInstance {
+    grid_instance(
+        &GridConfig { side_lengths: vec![side, side], torus, random_weights: false },
+        &mut StdRng::seed_from_u64(0),
+    )
+}
+
+/// The degree-skewed, weight-jittered instance of the lifted conformance
+/// suite's dedup-separation test.
+fn skewed_jittered() -> MaxMinInstance {
+    skewed_bipartite_instance(
+        &SkewedBipartiteConfig {
+            num_agents: 300,
+            num_resources: 100,
+            num_parties: 300,
+            skew: 3.5,
+            weight_jitter: 0.04,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(42),
+    )
+}
+
+#[test]
+fn grid_20x20_radius_2_fingerprint_is_pinned() {
+    assert_eq!(fingerprint(&grid(20, false), 2, 0.0), 10207240144303296900);
+}
+
+#[test]
+fn torus_radius_2_fingerprint_is_pinned() {
+    assert_eq!(fingerprint(&grid(8, true), 2, 0.0), 4151132188389433057);
+}
+
+#[test]
+fn skewed_jittered_fingerprints_are_pinned() {
+    let inst = skewed_jittered();
+    assert_eq!(fingerprint(&inst, 1, 0.0), 4563631478822894038, "ε = 0");
+    assert_eq!(fingerprint(&inst, 1, 0.05), 8625398206267539032, "ε = 0.05");
+}

@@ -122,6 +122,19 @@ fn local_averaging_paths_are_bit_identical() {
     }
 }
 
+/// The present stage builds every distinct presentation at least once and
+/// at most once per shard that meets it.
+fn assert_lps_built_bounds(label: &str, stats: &SolveStats) {
+    let present_shards = stats.stage_shards[0].shards.len();
+    assert!(
+        stats.lps_built >= stats.distinct_presentations
+            && stats.lps_built <= stats.distinct_presentations * present_shards,
+        "{label}: {} LPs built for {} presentations over {present_shards} shards",
+        stats.lps_built,
+        stats.distinct_presentations
+    );
+}
+
 /// The full execution matrix of the engine: batched (the reference), naive
 /// per-agent, every backend at ≥2 shard counts — including the loopback
 /// transport (full wire format in memory), the subprocess backend (real
@@ -178,6 +191,13 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     );
                     assert_eq!(reference.stats.unique_classes, sharded.stats.unique_classes);
                     assert_eq!(reference.stats.cache_hits, sharded.stats.cache_hits);
+                    assert_lps_built_bounds(&format!("{backend:?} on {name}"), &sharded.stats);
+                    if backend == BackendKind::Sequential {
+                        assert_eq!(
+                            sharded.stats.lps_built, sharded.stats.distinct_presentations,
+                            "one shard builds each presentation once on {name}"
+                        );
+                    }
                 }
 
                 for (label, backend) in [
@@ -200,6 +220,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     );
                     assert_eq!(reference.stats.unique_classes, remote.stats.unique_classes);
                     assert_eq!(reference.stats.cache_hits, remote.stats.cache_hits);
+                    assert_lps_built_bounds(&format!("{label} on {name}"), &remote.stats);
                 }
 
                 let warm =
