@@ -23,13 +23,9 @@
 //!    second phase of the two-phase dedup merges the per-shard class tables
 //!    into the global class list.
 //! 3. **Solve** — each *unique* canonical LP is solved once, sharded over
-//!    the class list.  With [`WarmStartPolicy::NearestClass`] the classes
-//!    are ordered by a cheap structural similarity key and every solve is
-//!    seeded from the most recently solved dimension-compatible class of its
-//!    shard ([`mmlp_lp::solve_maxmin_seeded`]); a seeded result is kept only
-//!    when a uniqueness certificate (or, for the cross-run class cache, a
-//!    zero-pivot exactness check) proves it bit-identical to the cold solve,
-//!    so warm starts can change the pivot count but never the output.
+//!    the class list.  Classes already in a [`ClassSolutionMemo`] (a
+//!    previous batch's solutions, keyed by canonical key and simplex
+//!    options) are answered host-side; only the misses are shipped.
 //! 4. **Scatter** — the canonical solutions are mapped back through each
 //!    ball's canonical labelling to all agents sharing the ball class.
 //!
@@ -39,29 +35,22 @@
 //! future multi-machine backend is a drop-in replacement
 //! ([`solve_local_lps_on`] is generic over the backend).
 //!
-//! # Why neither dedup nor warm starts can change the answer
+//! # Why neither dedup nor the memo can change the answer
 //!
 //! Both engine modes — [`SolveMode::Batched`] and the
 //! [`SolveMode::NaivePerAgent`] reference mode — hand the **canonically
-//! relabelled** LP to the (deterministic) simplex solver.  Two balls in the
-//! same class have *bit-identical* canonical LPs, so solving the class once
-//! and reusing the result is pure memoisation.  Warm starts additionally
-//! rely on one of two gates.  Similarity seeds go through the certificate
-//! of [`resolve_from_basis`](mmlp_lp::resolve_from_basis): accepted only
-//! when the LP provably has a *unique optimal activity vector*, in which
-//! case both the seeded and the cold path re-derive that vector through the
-//! same canonical vertex basis.  Cross-run cache seeds are keyed by exact
-//! canonical encodings, so the recorded basis is this very LP's
-//! deterministic cold basis and [`mmlp_lp::solve_maxmin_resumed`] accepts
-//! exactly when phase 2 confirms it with zero pivots.  The conformance suite
+//! relabelled** LP to the (deterministic, cold two-phase) simplex solver.
+//! Two balls in the same class have *bit-identical* canonical LPs, so
+//! solving the class once and reusing the result is pure memoisation — and
+//! so is answering a class from a [`ClassSolutionMemo`] filled by an earlier
+//! run under the same simplex options.  The conformance suite
 //! (`tests/conformance_batched.rs`) asserts bit-identity across modes,
-//! backends, shard counts and warm-start policies on every instance
-//! generator.
+//! backends, shard counts and memo re-solves on every instance generator.
 //!
 //! [`SolveStats`] reports what the engine did: balls enumerated, distinct
-//! presentations, ball LPs built, unique LP classes, cache hits, simplex
-//! solves and pivots, warm-start attempts and acceptances, wall-clock per
-//! stage and per-shard execution statistics.
+//! presentations, ball LPs built, unique LP classes, cache and memo hits,
+//! simplex solves and pivots, wall-clock per stage and per-shard execution
+//! statistics.
 
 use crate::transport::{
     engine_registry, CanonWireStage, DeltaPresentWireStage, LiftedCanonWireStage, PresentWireStage,
@@ -72,10 +61,7 @@ use mmlp_core::canonical::{
 };
 use mmlp_core::{AgentId, InstanceBuilder, MaxMinInstance, PartyId, ResourceId};
 use mmlp_hypergraph::{communication_hypergraph, BallEnumerator, NeighborCache};
-use mmlp_lp::{
-    solve_maxmin_dual_resumed, solve_maxmin_resumed, solve_maxmin_seeded, CertifiedInterval,
-    LpError, SimplexOptions, WarmStart,
-};
+use mmlp_lp::{solve_maxmin_with, CertifiedInterval, LpError, SimplexOptions};
 use mmlp_parallel::{
     pooled_subprocess_backend, BackendKind, LoopbackBackend, ParallelConfig, ScopedThreads,
     Sequential, Shard, Sharded, SolveBackend, StageStats, SubprocessBackend, TransportError,
@@ -316,8 +302,9 @@ pub enum SolveMode {
     Batched,
     /// The naive reference mode: solve every agent's ball LP independently
     /// (still canonically presented, so the results are bit-identical to
-    /// [`SolveMode::Batched`]).  Warm starts are never used in this mode —
-    /// it is the reference the other configurations are compared against.
+    /// [`SolveMode::Batched`]).  The solution memo is never consulted in
+    /// this mode — it is the reference the other configurations are
+    /// compared against.
     NaivePerAgent,
     /// Lifted (quasi-class) dedup for irregular instances: every ball LP's
     /// coefficients are snapped down onto the geometric grid `(1+ε)^b`
@@ -337,22 +324,6 @@ pub enum SolveMode {
     },
 }
 
-/// Whether (and how) class solves are seeded from previously solved classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStartPolicy {
-    /// Every class LP is solved cold.
-    #[default]
-    Off,
-    /// Classes are ordered by a cheap structural similarity key (ball size,
-    /// constraint counts, support-size signature) and each solve is seeded
-    /// from the most recently solved dimension-compatible class of its
-    /// shard.  Results are guaranteed bit-identical to [`Off`]
-    /// (see the module docs); only the pivot counts change.
-    ///
-    /// [`Off`]: WarmStartPolicy::Off
-    NearestClass,
-}
-
 /// Options of the batched local-LP engine.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalLpOptions {
@@ -366,12 +337,10 @@ pub struct LocalLpOptions {
     pub mode: SolveMode,
     /// Which backend executes the pipeline stages.
     pub backend: BackendKind,
-    /// Whether class solves are seeded from similar solved classes.
-    pub warm_start: WarmStartPolicy,
 }
 
 impl LocalLpOptions {
-    /// Default (batched, scoped-thread, cold-solve) options for a radius.
+    /// Default (batched, scoped-thread) options for a radius.
     pub fn new(radius: usize) -> Self {
         Self {
             radius,
@@ -379,18 +348,12 @@ impl LocalLpOptions {
             simplex: SimplexOptions::default(),
             mode: SolveMode::Batched,
             backend: BackendKind::default(),
-            warm_start: WarmStartPolicy::Off,
         }
     }
 
     /// The same options on a different backend.
     pub fn with_backend(self, backend: BackendKind) -> Self {
         Self { backend, ..self }
-    }
-
-    /// The same options with warm-start reuse across classes enabled.
-    pub fn with_warm_start(self) -> Self {
-        Self { warm_start: WarmStartPolicy::NearestClass, ..self }
     }
 }
 
@@ -424,35 +387,35 @@ pub struct SolveStats {
     pub lps_built: usize,
     /// Number of unique canonical LP classes among the balls.
     pub unique_classes: usize,
-    /// Number of LP solve jobs that were answered from the class cache
-    /// instead of running the simplex (0 in naive mode).
+    /// Number of per-ball solve jobs that never reached the solve stage:
+    /// the balls minus the jobs submitted.  A ball is a hit when an earlier
+    /// ball of the run shares its class or its class was answered from the
+    /// solution memo (0 in naive mode).  On an incremental re-solve both
+    /// sides count the re-presented balls only.
     pub cache_hits: usize,
+    /// Number of classes answered from a [`ClassSolutionMemo`] (or, on an
+    /// incremental re-solve, from the registered base's stored solutions)
+    /// without running the simplex.
+    pub memo_hits: usize,
     /// Number of simplex solves actually performed (party-less ball LPs are
     /// answered with the zero solution and never reach the solver).
     pub lp_solves: usize,
-    /// Total simplex *iterations* across all LP solves, including the
-    /// iterations of rejected warm attempts — the honest measure of pivoting
-    /// work that warm-start reuse is meant to reduce.  Basis-installation
-    /// eliminations are counted separately in
-    /// [`total_installs`](SolveStats::total_installs).
+    /// Total simplex *iterations* across all LP solves.
     pub total_pivots: u64,
-    /// Total Gauss–Jordan basis-installation eliminations across all LP
-    /// solves (warm-start seeding and canonical basis resolution).
+    /// Always 0: warm starts were removed and every solve is cold.  Kept
+    /// only so the benchmark harness that reads it keeps compiling.
     pub total_installs: u64,
-    /// Number of class solves that were seeded from a similar class's basis.
+    /// Always 0 (warm starts were removed); kept only for the benchmark
+    /// harness.
     pub warm_attempts: usize,
-    /// Number of seeded solves whose acceptance gate (uniqueness
-    /// certificate, or the zero-pivot exactness check for cache seeds) held,
-    /// skipping the cold solve entirely.
+    /// Always 0 (warm starts were removed); kept only for the benchmark
+    /// harness.
     pub warm_accepted: usize,
-    /// Number of class solves seeded through the dual-simplex phase — the
-    /// incremental path's repair of weight-perturbed classes, whose recorded
-    /// basis is primal-infeasible but typically still dual-feasible
-    /// ([`mmlp_lp::solve_maxmin_dual_resumed`]).  0 outside incremental
-    /// re-solves.
+    /// Always 0 (warm starts were removed); kept only for the benchmark
+    /// harness.
     pub dual_attempts: usize,
-    /// Number of dual-seeded solves whose uniqueness certificate held; the
-    /// rest fell back to the cold path (bit-identical either way).
+    /// Always 0 (warm starts were removed); kept only for the benchmark
+    /// harness.
     pub dual_accepted: usize,
     /// Number of quasi-classes the solve grouped the balls into.  Under
     /// [`SolveMode::Lifted`] this is the quantised class count; in the exact
@@ -470,7 +433,9 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// Fraction of per-ball solve jobs answered from the class cache.
+    /// Fraction of per-ball solve jobs that never reached the solve stage
+    /// ([`cache_hits`](SolveStats::cache_hits) over the balls enumerated),
+    /// in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.balls_enumerated == 0 {
             0.0
@@ -512,16 +477,17 @@ pub struct LocalLpBatch {
     pub local_x: Vec<Vec<f64>>,
     /// Canonical class index of each agent's ball.
     pub class_of_ball: Vec<usize>,
-    /// For each canonical class, the optimal simplex basis of its LP — the
-    /// seed the warm-start policy feeds into similar classes.  Empty for
-    /// party-less classes.
-    pub class_bases: Vec<Vec<usize>>,
+    /// For each canonical class, the optimal activity vector of its
+    /// canonical LP (the zero vector for party-less classes) — what
+    /// [`solution_memo`](LocalLpBatch::solution_memo) records.  Shared by
+    /// `Arc` like [`class_keys`](LocalLpBatch::class_keys), so a memo or a
+    /// registered base holds the batch's allocations instead of copies.
+    pub class_solutions: Vec<Arc<[f64]>>,
     /// The canonical key of each class, aligned with
-    /// [`class_bases`](LocalLpBatch::class_bases) — what
-    /// [`basis_cache`](LocalLpBatch::basis_cache) indexes the recorded bases
-    /// by.  Interned behind `Arc` so cache installs, base registration and
-    /// the incremental class table share one allocation per class instead of
-    /// deep-copying the key per ball.
+    /// [`class_solutions`](LocalLpBatch::class_solutions).  Interned behind
+    /// `Arc` so memo installs, base registration and the incremental class
+    /// table share one allocation per class instead of deep-copying the key
+    /// per ball.
     pub class_keys: Vec<Arc<CanonicalKey>>,
     /// `ball_objectives[u]` is the optimum of the canonical LP solved for
     /// agent `u`'s class: the exact ball optimum `ω*` in the exact modes,
@@ -539,143 +505,138 @@ pub struct LocalLpBatch {
 }
 
 impl LocalLpBatch {
-    /// Packages this batch's per-class optimal bases as a donor cache for a
-    /// later solve ([`solve_local_lps_reusing`]).
+    /// Packages this batch's class solutions as a memo for a later solve
+    /// under the same simplex options ([`solve_local_lps_reusing`]).
     ///
     /// The production re-solve pattern: serving workloads solve the same (or
     /// an incrementally updated) instance over and over, and every class
-    /// whose canonical LP is unchanged since the donor batch re-solves from
-    /// its own recorded optimal basis — zero simplex iterations, one
-    /// installation elimination per row.
-    pub fn basis_cache(&self) -> ClassBasisCache {
-        let mut cache = ClassBasisCache::default();
-        cache.absorb(self);
-        cache
+    /// whose canonical LP is unchanged since this batch is answered from the
+    /// memo without running the simplex.
+    pub fn solution_memo(&self, simplex: &SimplexOptions) -> ClassSolutionMemo {
+        let mut memo = ClassSolutionMemo::default();
+        memo.absorb(self, simplex);
+        memo
     }
 }
 
-/// Default capacity of a [`ClassBasisCache`], in recorded class bases.
+/// Default capacity of a [`ClassSolutionMemo`], in class solutions.
 ///
 /// Generous for every workload in the repository (the 50×50 grid at `R = 2`
-/// records ~21 classes) while bounding what a long-lived serving process
-/// can accumulate across instances: a basis is a `Vec<usize>` per class, so
-/// 4096 entries cap the cache at a few megabytes.
-pub const DEFAULT_CLASS_BASIS_CAPACITY: usize = 4096;
+/// has 21 classes) while bounding what a long-lived serving process can
+/// accumulate across instances: a solution is one `f64` per ball agent, so
+/// 4096 entries cap the memo at a few megabytes.
+pub const DEFAULT_CLASS_MEMO_CAPACITY: usize = 4096;
 
-/// A donor table of previously optimal class bases, keyed by canonical key —
-/// the warm-start carrier between engine runs.
+/// A memo entry's key: the class's canonical key and the bit patterns of
+/// the simplex options it was solved under.
+type MemoKey = (Arc<CanonicalKey>, [u64; 3]);
+
+fn memo_key(key: Arc<CanonicalKey>, simplex: &SimplexOptions) -> MemoKey {
+    (key, [simplex.tolerance.to_bits(), simplex.max_pivots as u64, simplex.bland_after as u64])
+}
+
+/// Canonical class solutions of earlier engine runs, keyed by canonical key
+/// and simplex options — the reuse carrier between runs.
 ///
-/// Looked up before the intra-run [`WarmStartPolicy`] donor table: a class
-/// whose exact canonical LP was solved before is seeded from its own optimal
-/// basis, which installs in one elimination per row and pivots zero times.
-/// Entries are keyed by the class's *exact* canonical encoding and a basis
-/// can only be recorded from a real batch, so a hit always seeds an LP with
-/// its own deterministic cold basis; the zero-pivot exactness gate of
-/// [`solve_maxmin_resumed`] verifies that at solve time, and anything else
-/// (a stale or truncated basis) falls back to the cold path — a wrong cache
-/// can cost work but never change a result.
+/// Two classes with the same canonical key have bit-identical canonical
+/// LPs, and the cold simplex is deterministic per LP and options, so a hit
+/// *is* the answer a solve would compute: it is returned as stored, with no
+/// simplex run and no acceptance check.  A memo filled under different
+/// [`SimplexOptions`] misses.
 ///
-/// **Bounded.**  A long-lived serving process re-solves many instances, and
-/// every new class used to stay resident forever.  The cache now holds at
-/// most `capacity` bases and evicts the **least recently installed** entry
-/// — a deterministic FIFO over installations, where re-absorbing a class
-/// that is already resident refreshes its position.  Eviction can only cost
-/// pivots on a future re-solve, never correctness, so a small capacity is
-/// always safe.
+/// **Bounded.**  The memo holds at most `capacity` solutions and evicts the
+/// **least recently installed** entry — a deterministic FIFO over
+/// installations, where re-installing an entry that is already resident
+/// refreshes its position.  Eviction can only cost a future solve, never
+/// change a result, so a small capacity is always safe.
 #[derive(Debug, Clone)]
-pub struct ClassBasisCache {
-    /// Key → (recorded basis, stamp of its most recent installation).  Keys
-    /// are the interned `Arc`s of [`LocalLpBatch::class_keys`], so absorbing
-    /// a batch shares the batch's allocations instead of deep-copying every
-    /// key.
-    bases: HashMap<Arc<CanonicalKey>, (WarmStart, u64)>,
-    /// Installation log `(stamp, key)`, oldest first.  A refresh appends a
-    /// new entry instead of rescanning the log, leaving the old one
-    /// *stale* (its stamp no longer matches the map's); eviction skips
-    /// stale entries lazily, and the log is compacted when stale entries
-    /// outnumber live ones — so a refresh is O(1) amortised instead of
-    /// O(capacity).
-    installed: VecDeque<(u64, Arc<CanonicalKey>)>,
+pub struct ClassSolutionMemo {
+    /// (key, option bits) → (solution, stamp of its most recent
+    /// installation).  Keys are the interned `Arc`s of
+    /// [`LocalLpBatch::class_keys`], so absorbing a batch shares its
+    /// allocations instead of deep-copying every key.
+    solutions: HashMap<MemoKey, (Arc<[f64]>, u64)>,
+    /// Installation log `(stamp, entry)`, oldest first.  A refresh appends a
+    /// new entry instead of rescanning the log, leaving the old one *stale*
+    /// (its stamp no longer matches the map's); eviction skips stale entries
+    /// lazily, and the log is compacted when stale entries outnumber live
+    /// ones — so a refresh is O(1) amortised instead of O(capacity).
+    installed: VecDeque<(u64, MemoKey)>,
     next_stamp: u64,
     capacity: usize,
 }
 
-impl Default for ClassBasisCache {
+impl Default for ClassSolutionMemo {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_CLASS_BASIS_CAPACITY)
+        Self::with_capacity(DEFAULT_CLASS_MEMO_CAPACITY)
     }
 }
 
-impl ClassBasisCache {
-    /// An empty cache with the default capacity.
+impl ClassSolutionMemo {
+    /// An empty memo with the default capacity.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache holding at most `capacity` class bases (clamped to
-    /// ≥ 1).
+    /// An empty memo holding at most `capacity` solutions (clamped to ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        Self { bases: HashMap::new(), installed: VecDeque::new(), next_stamp: 0, capacity }
+        Self { solutions: HashMap::new(), installed: VecDeque::new(), next_stamp: 0, capacity }
     }
 
-    /// The maximum number of class bases the cache retains.
+    /// The maximum number of solutions the memo retains.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of class bases in the cache.
+    /// Number of solutions in the memo.
     pub fn len(&self) -> usize {
-        self.bases.len()
+        self.solutions.len()
     }
 
-    /// Whether the cache holds no bases.
+    /// Whether the memo holds no solutions.
     pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
+        self.solutions.is_empty()
     }
 
-    /// The recorded basis for a canonical key, if any.
-    pub fn get(&self, key: &CanonicalKey) -> Option<&WarmStart> {
-        self.bases.get(key).map(|(seed, _)| seed)
+    /// The stored canonical solution of a class solved under `simplex`, if
+    /// any.
+    pub fn get(&self, key: &Arc<CanonicalKey>, simplex: &SimplexOptions) -> Option<&Arc<[f64]>> {
+        self.solutions.get(&memo_key(Arc::clone(key), simplex)).map(|(x, _)| x)
     }
 
-    /// Installs (or refreshes) one class basis, evicting the least recently
-    /// installed entry when the capacity is exceeded.  Empty bases
-    /// (party-less classes) are ignored — they could never seed a solve.
-    pub fn install(&mut self, key: Arc<CanonicalKey>, seed: WarmStart) {
-        if seed.basis.is_empty() {
-            return;
-        }
+    /// Installs (or refreshes) one class solution, evicting the least
+    /// recently installed entry when the capacity is exceeded.
+    pub fn install(&mut self, key: Arc<CanonicalKey>, simplex: &SimplexOptions, x: Arc<[f64]>) {
+        let entry = memo_key(key, simplex);
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.bases.insert(Arc::clone(&key), (seed, stamp));
-        self.installed.push_back((stamp, key));
-        while self.bases.len() > self.capacity {
-            let (stamp, key) =
-                self.installed.pop_front().expect("every resident key has a log entry");
-            // Only evict through the key's *current* log entry; older ones
+        self.solutions.insert(entry.clone(), (x, stamp));
+        self.installed.push_back((stamp, entry));
+        while self.solutions.len() > self.capacity {
+            let (stamp, entry) =
+                self.installed.pop_front().expect("every resident entry has a log entry");
+            // Only evict through the entry's *current* log entry; older ones
             // are leftovers of refreshes.
-            if self.bases.get(&key).is_some_and(|(_, s)| *s == stamp) {
-                self.bases.remove(&key);
+            if self.solutions.get(&entry).is_some_and(|(_, s)| *s == stamp) {
+                self.solutions.remove(&entry);
             }
         }
         // Compact once stale log entries outnumber live ones, keeping the
         // log O(capacity) without rescanning it on every refresh.
-        if self.installed.len() > self.bases.len().saturating_mul(2).max(16) {
-            let bases = &self.bases;
+        if self.installed.len() > self.solutions.len().saturating_mul(2).max(16) {
+            let solutions = &self.solutions;
             self.installed
-                .retain(|(stamp, key)| bases.get(key).is_some_and(|(_, s)| s == stamp));
+                .retain(|(stamp, entry)| solutions.get(entry).is_some_and(|(_, s)| s == stamp));
         }
     }
 
-    /// Absorbs every recorded class basis of a batch, in class order — the
-    /// cross-run accumulation path for serving workloads that re-solve a
-    /// stream of instances through one cache.
-    pub fn absorb(&mut self, batch: &LocalLpBatch) {
-        for (key, basis) in batch.class_keys.iter().zip(&batch.class_bases) {
-            if !basis.is_empty() {
-                self.install(Arc::clone(key), WarmStart { basis: basis.clone() });
-            }
+    /// Absorbs every class solution of a batch solved under `simplex`, in
+    /// class order — the cross-run accumulation path for serving workloads
+    /// that re-solve a stream of instances through one memo.
+    pub fn absorb(&mut self, batch: &LocalLpBatch, simplex: &SimplexOptions) {
+        for (key, x) in batch.class_keys.iter().zip(&batch.class_solutions) {
+            self.install(Arc::clone(key), simplex, Arc::clone(x));
         }
     }
 }
@@ -693,14 +654,14 @@ pub fn solve_local_lps(
     dispatch_backend(instance, options, None)
 }
 
-/// Runs the engine seeding every class solve from `reuse` — the donor cache
-/// of a previous batch ([`LocalLpBatch::basis_cache`]).
+/// Runs the engine answering every class found in `memo` from the memo —
+/// typically a previous batch's solutions ([`LocalLpBatch::solution_memo`]).
 ///
 /// This is the production re-solve path: on a repeat solve of the same (or a
-/// mostly unchanged) instance, every class already in the cache installs its
-/// own optimal basis and performs **zero simplex iterations**, and the
-/// zero-pivot exactness gate guarantees the results stay bit-identical to a
-/// cold solve.
+/// mostly unchanged) instance, every class already in the memo is answered
+/// host-side with **no simplex run**; only the misses reach the solve stage.
+/// A hit is the stored solution of a bit-identical canonical LP solved
+/// under the same options, so the results equal a cold solve bit for bit.
 ///
 /// # Errors
 ///
@@ -708,29 +669,29 @@ pub fn solve_local_lps(
 pub fn solve_local_lps_reusing(
     instance: &MaxMinInstance,
     options: &LocalLpOptions,
-    reuse: &ClassBasisCache,
+    memo: &ClassSolutionMemo,
 ) -> Result<LocalLpBatch, EngineError> {
-    dispatch_backend(instance, options, Some(reuse))
+    dispatch_backend(instance, options, Some(memo))
 }
 
 fn dispatch_backend(
     instance: &MaxMinInstance,
     options: &LocalLpOptions,
-    reuse: Option<&ClassBasisCache>,
+    memo: Option<&ClassSolutionMemo>,
 ) -> Result<LocalLpBatch, EngineError> {
     match options.backend {
-        BackendKind::Sequential => run_pipeline(instance, options, &Sequential, reuse),
+        BackendKind::Sequential => run_pipeline(instance, options, &Sequential, memo),
         BackendKind::ScopedThreads => {
-            run_pipeline(instance, options, &ScopedThreads::new(options.parallel), reuse)
+            run_pipeline(instance, options, &ScopedThreads::new(options.parallel), memo)
         }
         BackendKind::Sharded { shards } => {
-            run_pipeline(instance, options, &Sharded::new(shards, options.parallel), reuse)
+            run_pipeline(instance, options, &Sharded::new(shards, options.parallel), memo)
         }
         BackendKind::Loopback { shards } => {
-            run_pipeline(instance, options, &LoopbackBackend::new(engine_registry(), shards), reuse)
+            run_pipeline(instance, options, &LoopbackBackend::new(engine_registry(), shards), memo)
         }
         BackendKind::Subprocess { workers, overlapped } => {
-            run_pipeline(instance, options, &*subprocess_backend(workers, overlapped), reuse)
+            run_pipeline(instance, options, &*subprocess_backend(workers, overlapped), memo)
         }
     }
 }
@@ -766,7 +727,7 @@ pub fn solve_local_lps_on<B: SolveBackend>(
     run_pipeline(instance, options, backend, None)
 }
 
-/// The engine pipeline proper, with an optional cross-run donor cache.
+/// The engine pipeline proper, with an optional cross-run solution memo.
 ///
 /// Every stage is submitted as a [`WireStage`](mmlp_parallel::WireStage):
 /// local backends execute the stage function in-process (through the
@@ -779,7 +740,7 @@ fn run_pipeline<B: SolveBackend>(
     instance: &MaxMinInstance,
     options: &LocalLpOptions,
     backend: &B,
-    reuse: Option<&ClassBasisCache>,
+    memo: Option<&ClassSolutionMemo>,
 ) -> Result<LocalLpBatch, EngineError> {
     // Lifted mode's grid coarseness, validated up front: `None` in the
     // exact modes, `Some(ε)` under `SolveMode::Lifted`.
@@ -800,7 +761,7 @@ fn run_pipeline<B: SolveBackend>(
             balls: vec![],
             local_x: vec![],
             class_of_ball: vec![],
-            class_bases: vec![],
+            class_solutions: vec![],
             class_keys: vec![],
             ball_objectives: vec![],
             intervals: vec![],
@@ -870,132 +831,77 @@ fn run_pipeline<B: SolveBackend>(
             run.stats
         }
     };
-    let mut class_of_pres: Vec<usize> = vec![0; forms.len()];
-    let mut class_reps: Vec<usize> = Vec::new(); // global presentation index
-    {
-        let mut global_ids: HashMap<&CanonicalKey, usize> = HashMap::new();
-        for (offset, local_reps, class_of) in &shard_tables {
-            let mut local_to_global = Vec::with_capacity(local_reps.len());
-            for &r in local_reps {
-                let key = &forms[offset + r].key;
-                let id = match global_ids.get(key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = class_reps.len();
-                        global_ids.insert(key, id);
-                        class_reps.push(offset + r);
-                        id
-                    }
-                };
-                local_to_global.push(id);
-            }
-            for (i, &c) in class_of.iter().enumerate() {
-                class_of_pres[offset + i] = local_to_global[c];
-            }
-        }
-    }
+    let (class_reps, class_of_pres) = merge_class_tables(&forms, &shard_tables);
     let class_of_ball: Vec<usize> = pres_of_ball.iter().map(|&p| class_of_pres[p]).collect();
+    // Intern each class key once: take it out of its form (the forms' keys
+    // are not read past this point) instead of deep-copying the encoding.
+    let class_keys: Vec<Arc<CanonicalKey>> = class_reps
+        .iter()
+        .map(|&p| {
+            Arc::new(std::mem::replace(&mut forms[p].key, CanonicalKey::from_words(Vec::new())))
+        })
+        .collect();
     stage_shards.push(canon_stats);
     timings.canonicalise = stage.elapsed();
 
     // ---- Stage 3: solve one job per class (batched) or per ball (naive),
-    // on the canonical presentation, optionally warm-started. ----
+    // on the canonical presentation.  In batched mode, classes found in the
+    // memo are answered host-side and only the misses are shipped. ----
     let stage = Instant::now();
     let num_classes = class_reps.len();
-    let mut lp_solves = 0usize;
-    let mut total_pivots = 0u64;
-    let mut total_installs = 0u64;
-    let mut warm_attempts = 0usize;
-    let mut warm_accepted = 0usize;
-    let (jobs, class_bases) = match options.mode {
+    let (jobs, class_solutions, memo_hits) = match options.mode {
         // Lifted mode reuses the batched solve stage unchanged: the class
         // table above already reflects the quasi partition, and every class
         // representative is the canonical *quantised* LP.
         SolveMode::Batched | SolveMode::Lifted { .. } => {
-            // Solve order: similarity-sorted under the warm-start policy so
-            // that neighbouring jobs have structurally similar LPs.
-            let order: Vec<usize> = match options.warm_start {
-                WarmStartPolicy::Off => (0..num_classes).collect(),
-                WarmStartPolicy::NearestClass => {
-                    let keys: Vec<Vec<u64>> =
-                        class_reps.iter().map(|&p| similarity_key(&forms[p].instance)).collect();
-                    let mut order: Vec<usize> = (0..num_classes).collect();
-                    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-                    order
-                }
-            };
-            let solve_jobs: Vec<(&MaxMinInstance, Option<&WarmStart>)> = order
+            let mut solutions: Vec<Option<Arc<[f64]>>> = class_keys
                 .iter()
-                .map(|&class| {
-                    let form = &forms[class_reps[class]];
-                    (&form.instance, reuse.and_then(|cache| cache.get(&form.key)))
-                })
+                .map(|key| memo.and_then(|m| m.get(key, &options.simplex)).cloned())
                 .collect();
+            let misses: Vec<usize> = (0..num_classes).filter(|&c| solutions[c].is_none()).collect();
             let run = backend.execute_stage(
-                num_classes,
+                misses.len(),
                 &SolveWireStage {
-                    jobs: solve_jobs,
+                    jobs: misses.iter().map(|&c| &forms[class_reps[c]].instance).collect(),
                     simplex: options.simplex,
-                    policy: options.warm_start,
                 },
             )?;
-            let mut jobs: Vec<Option<SolvedLp>> = (0..num_classes).map(|_| None).collect();
-            let mut k = 0usize;
             stage_shards.push(run.stats);
-            for shard_out in run.outputs {
-                for job in shard_out {
-                    let job = job?;
-                    lp_solves += usize::from(job.solved);
-                    total_pivots += job.pivots;
-                    total_installs += job.installs;
-                    warm_attempts += usize::from(job.warm_attempted);
-                    warm_accepted += usize::from(job.warm_accepted);
-                    jobs[order[k]] = Some(job);
-                    k += 1;
-                }
+            let jobs: Vec<SolvedLp> =
+                run.outputs.into_iter().flatten().collect::<Result<_, _>>()?;
+            for (&c, job) in misses.iter().zip(&jobs) {
+                solutions[c] = Some(Arc::from(job.x.as_slice()));
             }
-            let jobs: Vec<SolvedLp> = jobs
+            let solutions: Vec<Arc<[f64]>> = solutions
                 .into_iter()
-                .map(|j| j.expect("every class solved exactly once"))
+                .map(|x| x.expect("every class is a memo hit or solved"))
                 .collect();
-            let bases: Vec<Vec<usize>> = jobs.iter().map(|j| j.basis.clone()).collect();
-            (jobs, bases)
+            (jobs, solutions, num_classes - misses.len())
         }
         SolveMode::NaivePerAgent => {
-            let solve_jobs: Vec<(&MaxMinInstance, Option<&WarmStart>)> =
-                (0..n).map(|u| (&forms[pres_of_ball[u]].instance, None)).collect();
             let run = backend.execute_stage(
                 n,
                 &SolveWireStage {
-                    jobs: solve_jobs,
+                    jobs: (0..n).map(|u| &forms[pres_of_ball[u]].instance).collect(),
                     simplex: options.simplex,
-                    policy: WarmStartPolicy::Off,
                 },
             )?;
-            let mut jobs = Vec::with_capacity(n);
             stage_shards.push(run.stats);
-            for shard_out in run.outputs {
-                for job in shard_out {
-                    let job = job?;
-                    lp_solves += usize::from(job.solved);
-                    total_pivots += job.pivots;
-                    total_installs += job.installs;
-                    jobs.push(job);
-                }
-            }
-            // One basis per class, taken from the first ball of the class.
-            let mut bases = vec![Vec::new(); num_classes];
-            let mut filled = vec![false; num_classes];
+            let jobs: Vec<SolvedLp> =
+                run.outputs.into_iter().flatten().collect::<Result<_, _>>()?;
+            // One solution per class, taken from the first ball of the class
+            // (every ball of a class solves the same canonical LP).
+            let mut solutions: Vec<Option<Arc<[f64]>>> = vec![None; num_classes];
             for u in 0..n {
-                let c = class_of_ball[u];
-                if !filled[c] {
-                    bases[c] = jobs[u].basis.clone();
-                    filled[c] = true;
-                }
+                solutions[class_of_ball[u]].get_or_insert_with(|| Arc::from(jobs[u].x.as_slice()));
             }
-            (jobs, bases)
+            let solutions =
+                solutions.into_iter().map(|x| x.expect("every class has a ball")).collect();
+            (jobs, solutions, 0)
         }
     };
+    let lp_solves = jobs.iter().filter(|j| j.solved).count();
+    let total_pivots = jobs.iter().map(|j| j.pivots).sum();
     timings.solve = stage.elapsed();
 
     // ---- Stage 4: scatter canonical solutions back onto the balls.  The
@@ -1003,7 +909,12 @@ fn run_pipeline<B: SolveBackend>(
     // carries only its labelling and a solution index, so the payload does
     // not grow with the dedup ratio. ----
     let stage = Instant::now();
-    let solutions: Vec<&[f64]> = jobs.iter().map(|j| j.x.as_slice()).collect();
+    let solutions: Vec<&[f64]> = match options.mode {
+        SolveMode::NaivePerAgent => jobs.iter().map(|j| j.x.as_slice()).collect(),
+        SolveMode::Batched | SolveMode::Lifted { .. } => {
+            class_solutions.iter().map(|x| &**x).collect()
+        }
+    };
     let scatter_items: Vec<(&[usize], usize)> = (0..n)
         .map(|u| {
             let form = &forms[pres_of_ball[u]];
@@ -1030,7 +941,7 @@ fn run_pipeline<B: SolveBackend>(
             .collect(),
         SolveMode::Batched | SolveMode::Lifted { .. } => {
             let class_objectives: Vec<f64> = (0..num_classes)
-                .map(|c| lp_objective(&forms[class_reps[c]].instance, &jobs[c].x))
+                .map(|c| lp_objective(&forms[class_reps[c]].instance, &class_solutions[c]))
                 .collect();
             class_of_ball.iter().map(|&c| class_objectives[c]).collect()
         }
@@ -1060,46 +971,59 @@ fn run_pipeline<B: SolveBackend>(
     stage_shards.push(run.stats);
     timings.scatter = stage.elapsed();
 
-    let jobs_submitted = match options.mode {
-        SolveMode::NaivePerAgent => n,
-        SolveMode::Batched | SolveMode::Lifted { .. } => num_classes,
-    };
     let stats = SolveStats {
         balls_enumerated: n,
         distinct_presentations: reps.len(),
         lps_built,
         unique_classes: num_classes,
-        cache_hits: n - jobs_submitted,
+        cache_hits: n - jobs.len(),
+        memo_hits,
         lp_solves,
         total_pivots,
-        total_installs,
-        warm_attempts,
-        warm_accepted,
-        dual_attempts: 0,
-        dual_accepted: 0,
         quasi_classes: num_classes,
         max_class_slack: slack_of_pres.iter().fold(0.0, |a: f64, &s| a.max(s)),
         timings,
         stage_shards,
+        ..SolveStats::default()
     };
-    // Intern each class key once: take it out of its form (the forms are
-    // consumed here) instead of deep-copying the encoding per class.
-    let class_keys: Vec<Arc<CanonicalKey>> = class_reps
-        .iter()
-        .map(|&p| {
-            Arc::new(std::mem::replace(&mut forms[p].key, CanonicalKey::from_words(Vec::new())))
-        })
-        .collect();
     Ok(LocalLpBatch {
         balls,
         local_x,
         class_of_ball,
-        class_bases,
+        class_solutions,
         class_keys,
         ball_objectives,
         intervals,
         stats,
     })
+}
+
+/// Phase 2 of the canonical-class dedup, shared by the cold and incremental
+/// pipelines: merges the per-shard class tables `(offset into forms, shard
+/// class representatives, shard class of each form)` into global class ids
+/// in first-occurrence order over the shard scan.  Returns the global class
+/// representatives (indices into `forms`) and the class of every form.
+fn merge_class_tables(
+    forms: &[CanonicalForm],
+    shard_tables: &[(usize, Vec<usize>, Vec<usize>)],
+) -> (Vec<usize>, Vec<usize>) {
+    let mut class_of_form: Vec<usize> = vec![0; forms.len()];
+    let mut class_reps: Vec<usize> = Vec::new();
+    let mut global_ids: HashMap<&CanonicalKey, usize> = HashMap::new();
+    for (offset, local_reps, class_of) in shard_tables {
+        let mut local_to_global = Vec::with_capacity(local_reps.len());
+        for &r in local_reps {
+            let id = *global_ids.entry(&forms[offset + r].key).or_insert_with(|| {
+                class_reps.push(offset + r);
+                class_reps.len() - 1
+            });
+            local_to_global.push(id);
+        }
+        for (i, &c) in class_of.iter().enumerate() {
+            class_of_form[offset + i] = local_to_global[c];
+        }
+    }
+    (class_reps, class_of_form)
 }
 
 /// Phase 2 of the presentation dedup, shared by the cold and incremental
@@ -1187,10 +1111,9 @@ pub(crate) fn lp_objective(lp: &MaxMinInstance, x: &[f64]) -> f64 {
 /// version ships only the weight edits and the affected-ball lists.
 ///
 /// The batch recorded here is what deltas re-solve *against*: unaffected
-/// balls reuse its activity vectors verbatim, unchanged classes re-solve
-/// from their recorded bases under the zero-pivot exactness gate, and
-/// perturbed classes seed the dual-simplex phase from their predecessor's
-/// basis.
+/// balls reuse its activity vectors verbatim, classes whose canonical key
+/// the base already has reuse its stored class solution, and only
+/// perturbed classes are solved (cold).
 #[derive(Debug, Clone)]
 pub struct RegisteredBase {
     instance: MaxMinInstance,
@@ -1258,9 +1181,10 @@ pub fn register_base(
     version: u64,
 ) -> Result<RegisteredBase, EngineError> {
     if let SolveMode::Lifted { .. } = options.mode {
-        // The incremental gates (zero-pivot exactness, dual repair) certify
-        // bit-identity to an *exact* cold solve; a lifted base would make
-        // the certified intervals of later re-solves unsound.
+        // Deltas are defined against exact class keys: a re-solve reuses a
+        // base class solution only for a bit-identical canonical LP, and
+        // scatters exact point intervals.  A lifted base's quasi-classes
+        // would make both unsound.
         return Err(EngineError::InvalidOptions(
             "incremental re-solves require an exact mode; register the base with \
              SolveMode::Batched"
@@ -1292,11 +1216,7 @@ pub struct IncrementalRun {
     /// The re-solved batch.  Solutions, balls, class numbering and class
     /// keys are bit-identical to a cold solve of the patched instance
     /// (`tests/incremental_resolve.rs` asserts this across backends and
-    /// churn rates).  Recorded bases carry the same contract as the
-    /// warm-reuse path: one optimal basis per class, usable as a seed —
-    /// at a degenerate vertex the dual phase may record a different
-    /// representative basis of the same (certified unique) optimum than
-    /// the cold pivot history would.
+    /// churn rates), and so are the class solutions.
     pub batch: LocalLpBatch,
     /// Distinct agents named by the delta's edits.
     pub changed_agents: usize,
@@ -1320,19 +1240,16 @@ pub struct IncrementalRun {
 /// `mmlp/present-delta@1` stage — across the backend, shipping only the
 /// edits and the affected-agent lists against the deduped base context;
 /// (2') canonicalise the affected presentations (the ordinary canonicalise
-/// stage); (3') solve only the classes an affected ball belongs to,
-/// driver-side — a class whose canonical key already existed re-solves from
-/// its own recorded basis under the zero-pivot exactness gate, a genuinely
-/// perturbed class seeds the dual-simplex phase from its predecessor's
-/// basis under the uniqueness certificate, and anything the gates refuse
-/// falls back cold; (4') scatter the fresh solutions onto the affected
-/// balls, keeping every unaffected ball's activity vector verbatim.
+/// stage); (3') resolve only the classes an affected ball belongs to,
+/// driver-side — a class whose canonical key the base already has reuses
+/// the base's stored solution (a memo hit), a genuinely perturbed class is
+/// solved cold; (4') scatter the class solutions onto the affected balls,
+/// keeping every unaffected ball's activity vector verbatim.
 ///
-/// Every gate in (3') accepts only what is provably bit-identical to a
-/// cold solve of the patched instance, so the returned solutions, balls,
-/// class numbering and class keys equal the cold batch bit for bit — only
-/// the work (and the wire bytes) scale with the churn.  (Recorded bases
-/// follow the warm-reuse contract — see [`IncrementalRun::batch`].)
+/// A memo hit is the solution of a bit-identical canonical LP, so the
+/// returned solutions, balls, class numbering, class keys and class
+/// solutions equal a cold solve of the patched instance bit for bit — only
+/// the work (and the wire bytes) scale with the churn.
 ///
 /// # Errors
 ///
@@ -1475,30 +1392,7 @@ fn run_incremental<B: SolveBackend>(
         shard_tables.push((forms.len(), sc.class_reps, sc.class_of));
         forms.extend(sc.forms);
     }
-    let mut class_of_pres: Vec<usize> = vec![0; forms.len()];
-    let mut aff_class_reps: Vec<usize> = Vec::new();
-    {
-        let mut global_ids: HashMap<&CanonicalKey, usize> = HashMap::new();
-        for (offset, local_reps, class_of) in &shard_tables {
-            let mut local_to_global = Vec::with_capacity(local_reps.len());
-            for &r in local_reps {
-                let key = &forms[offset + r].key;
-                let id = match global_ids.get(key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = aff_class_reps.len();
-                        global_ids.insert(key, id);
-                        aff_class_reps.push(offset + r);
-                        id
-                    }
-                };
-                local_to_global.push(id);
-            }
-            for (i, &c) in class_of.iter().enumerate() {
-                class_of_pres[offset + i] = local_to_global[c];
-            }
-        }
-    }
+    let (aff_class_reps, class_of_pres) = merge_class_tables(&forms, &shard_tables);
     stage_shards.push(run.stats);
     timings.canonicalise = stage.elapsed();
 
@@ -1510,14 +1404,9 @@ fn run_incremental<B: SolveBackend>(
     enum ClassSource {
         /// Every ball of the class is unaffected: the base solution stands.
         Base(usize),
-        /// Some affected ball belongs to the class: re-solve it.
-        Fresh {
-            /// Index into `forms` of the class representative.
-            rep_form: usize,
-            /// Base class of the first affected ball that hit the class —
-            /// the dual-simplex seed donor for perturbed classes.
-            old_class: usize,
-        },
+        /// Some affected ball belongs to the class; the index into `forms`
+        /// of the class representative.
+        Fresh(usize),
     }
     let aff_index: HashMap<usize, usize> =
         affected.iter().enumerate().map(|(i, &u)| (u, i)).collect();
@@ -1539,10 +1428,7 @@ fn run_incremental<B: SolveBackend>(
                         let key = Arc::new(forms[rep_form].key.clone());
                         key_to_new.insert(Arc::clone(&key), id);
                         class_keys.push(key);
-                        sources.push(ClassSource::Fresh {
-                            rep_form,
-                            old_class: base.batch.class_of_ball[u],
-                        });
+                        sources.push(ClassSource::Fresh(rep_form));
                         id
                     }
                 }
@@ -1565,73 +1451,40 @@ fn run_incremental<B: SolveBackend>(
         class_of_ball.push(id);
     }
 
-    // ---- Stage 3': solve only the classes an affected ball belongs to,
-    // driver-side, seeded from the registered base. ----
+    // ---- Stage 3': resolve only the classes an affected ball belongs to,
+    // driver-side: a key the base already has is a memo hit, anything else
+    // is solved cold. ----
     let stage = Instant::now();
+    let mut memo_hits = 0usize;
+    let mut jobs_submitted = 0usize;
     let mut lp_solves = 0usize;
     let mut total_pivots = 0u64;
-    let mut total_installs = 0u64;
-    let mut warm_attempts = 0usize;
-    let mut warm_accepted = 0usize;
-    let mut dual_attempts = 0usize;
-    let mut dual_accepted = 0usize;
-    let mut class_bases: Vec<Vec<usize>> = Vec::with_capacity(class_keys.len());
-    let mut solutions: Vec<Option<Vec<f64>>> = Vec::with_capacity(class_keys.len());
+    let mut class_solutions: Vec<Arc<[f64]>> = Vec::with_capacity(class_keys.len());
     for (id, source) in sources.iter().enumerate() {
-        match source {
-            ClassSource::Base(c) => {
-                class_bases.push(base.batch.class_bases[*c].clone());
-                solutions.push(None);
-            }
-            ClassSource::Fresh { rep_form, old_class } => {
-                let lp = &forms[*rep_form].instance;
-                if lp.num_parties() == 0 {
-                    class_bases.push(vec![]);
-                    solutions.push(Some(vec![0.0; lp.num_agents()]));
-                    continue;
+        let x = match *source {
+            ClassSource::Base(c) => Arc::clone(&base.batch.class_solutions[c]),
+            ClassSource::Fresh(rep_form) => match base.key_to_class.get(&class_keys[id]) {
+                // The canonical LP is unchanged (the edits never reached
+                // this class, or cancelled out): the base's solution is the
+                // answer.
+                Some(&c) => {
+                    memo_hits += 1;
+                    Arc::clone(&base.batch.class_solutions[c])
                 }
-                let (opt, _) = match base.key_to_class.get(&class_keys[id]) {
-                    // The canonical LP is unchanged (the edits never reached
-                    // this class, or cancelled out): its own recorded basis
-                    // re-solves under the zero-pivot exactness gate.
-                    Some(&bc) if !base.batch.class_bases[bc].is_empty() => {
-                        warm_attempts += 1;
-                        let seed = WarmStart { basis: base.batch.class_bases[bc].clone() };
-                        let r = solve_maxmin_resumed(lp, &options.simplex, &seed)?;
-                        warm_accepted += usize::from(r.1.warm_accepted);
-                        r
-                    }
-                    Some(_) => solve_maxmin_seeded(lp, &options.simplex, None)?,
-                    // A genuinely perturbed class: its predecessor's optimal
-                    // basis is primal-infeasible under the new weights but
-                    // typically still dual-feasible — the dual-simplex phase
-                    // repairs it, the uniqueness certificate decides
-                    // acceptance, and everything else falls back cold
-                    // inside (bit-identical by construction either way).
-                    None => {
-                        let old = &base.batch.class_bases[*old_class];
-                        if old.is_empty() {
-                            solve_maxmin_seeded(lp, &options.simplex, None)?
-                        } else {
-                            dual_attempts += 1;
-                            let seed = WarmStart { basis: old.clone() };
-                            let r = solve_maxmin_dual_resumed(lp, &options.simplex, &seed)?;
-                            dual_accepted += usize::from(r.1.warm_accepted);
-                            r
-                        }
-                    }
-                };
-                lp_solves += 1;
-                total_pivots += opt.pivots as u64;
-                total_installs += opt.installs as u64;
-                class_bases.push(opt.basis.clone());
-                solutions.push(Some(opt.solution.into_vec()));
-            }
-        }
+                None => {
+                    jobs_submitted += 1;
+                    let job = solve_class_lp(&forms[rep_form].instance, &options.simplex)?;
+                    lp_solves += usize::from(job.solved);
+                    total_pivots += job.pivots;
+                    Arc::from(job.x)
+                }
+            },
+        };
+        class_solutions.push(x);
     }
     timings.solve = stage.elapsed();
 
-    // ---- Stage 4': scatter the fresh solutions onto the affected balls;
+    // ---- Stage 4': scatter the class solutions onto the affected balls;
     // every unaffected ball keeps its base activity vector verbatim (its
     // presented LP is bit-identical to the base's, so a cold solve would
     // reproduce it). ----
@@ -1642,7 +1495,7 @@ fn run_incremental<B: SolveBackend>(
     for (i, &u) in affected.iter().enumerate() {
         debug_assert_eq!(balls_aff[i], balls[u], "deltas never change a ball's membership");
         let form = &forms[pres_of_ball_aff[i]];
-        let x = solutions[class_of_ball[u]].as_ref().expect("affected classes are solved");
+        let x = &class_solutions[class_of_ball[u]];
         local_x[u] = unpermute_values(&form.labelling, x);
         ball_objectives[u] = lp_objective(&form.instance, x);
     }
@@ -1656,30 +1509,27 @@ fn run_incremental<B: SolveBackend>(
 
     let stats = SolveStats {
         // For an incremental run, "enumerated" counts the balls actually
-        // re-presented — the work, not the instance size.
+        // re-presented — the work, not the instance size — and the hits are
+        // counted over the same balls.
         balls_enumerated: affected.len(),
         distinct_presentations: reps.len(),
         lps_built,
         unique_classes: class_keys.len(),
-        cache_hits: n - lp_solves,
+        cache_hits: affected.len() - jobs_submitted,
+        memo_hits,
         lp_solves,
         total_pivots,
-        total_installs,
-        warm_attempts,
-        warm_accepted,
-        dual_attempts,
-        dual_accepted,
         quasi_classes: class_keys.len(),
-        max_class_slack: 0.0,
         timings,
         stage_shards,
+        ..SolveStats::default()
     };
     Ok((
         LocalLpBatch {
             balls,
             local_x,
             class_of_ball,
-            class_bases,
+            class_solutions,
             class_keys,
             ball_objectives,
             intervals,
@@ -1720,12 +1570,8 @@ pub(crate) struct ShardQuasiClasses {
 pub(crate) struct SolvedLp {
     pub(crate) x: Vec<f64>,
     pub(crate) pivots: u64,
-    pub(crate) installs: u64,
-    pub(crate) basis: Vec<usize>,
     /// Whether the simplex actually ran (false for party-less shortcuts).
     pub(crate) solved: bool,
-    pub(crate) warm_attempted: bool,
-    pub(crate) warm_accepted: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -1975,18 +1821,12 @@ fn class_table(forms: &[CanonicalForm]) -> (Vec<usize>, Vec<usize>) {
     (class_reps, class_of)
 }
 
-/// Stage 3 body: solve a shard's job sequence in order, chaining warm-start
-/// donors within the shard (the donor table starts empty per shard, exactly
-/// like the sharded in-process path).
+/// Stage 3 body: solve a shard's canonical LPs, each cold and in order.
 pub(crate) fn solve_shard(
-    jobs: &[(&MaxMinInstance, Option<&WarmStart>)],
+    jobs: &[&MaxMinInstance],
     simplex: &SimplexOptions,
-    policy: WarmStartPolicy,
 ) -> Vec<Result<SolvedLp, LpError>> {
-    let mut donors: HashMap<(usize, usize, usize), WarmStart> = HashMap::new();
-    jobs.iter()
-        .map(|(lp, cached)| solve_class_job(lp, *cached, simplex, policy, &mut donors))
-        .collect()
+    jobs.iter().map(|lp| solve_class_lp(lp, simplex)).collect()
 }
 
 /// Stage 4 body: map one canonical solution back through a ball's canonical
@@ -1996,75 +1836,15 @@ pub(crate) fn unpermute_values(labelling: &[usize], canonical_values: &[f64]) ->
     labelling.iter().map(|&c| canonical_values[c]).collect()
 }
 
-/// Solves one class LP, seeding from the cross-run cache entry when one is
-/// given and otherwise consulting (and updating) the shard's donor table
-/// under the warm-start policy.
-fn solve_class_job(
-    lp: &MaxMinInstance,
-    cached: Option<&WarmStart>,
-    simplex: &SimplexOptions,
-    policy: WarmStartPolicy,
-    donors: &mut HashMap<(usize, usize, usize), WarmStart>,
-) -> Result<SolvedLp, LpError> {
+/// Solves one class LP with the cold simplex.
+fn solve_class_lp(lp: &MaxMinInstance, simplex: &SimplexOptions) -> Result<SolvedLp, LpError> {
     if lp.num_parties() == 0 {
         // A ball with no complete party support has objective 0 and the zero
         // vector as its (unique sensible) local optimum.
-        return Ok(SolvedLp {
-            x: vec![0.0; lp.num_agents()],
-            pivots: 0,
-            installs: 0,
-            basis: vec![],
-            solved: false,
-            warm_attempted: false,
-            warm_accepted: false,
-        });
+        return Ok(SolvedLp { x: vec![0.0; lp.num_agents()], pivots: 0, solved: false });
     }
-    let dims = (lp.num_agents(), lp.num_resources(), lp.num_parties());
-    let (opt, report) = match cached {
-        // A cache hit is keyed by this class's exact canonical encoding, so
-        // the recorded basis is this very LP's deterministic cold basis and
-        // the zero-pivot exactness gate applies — no uniqueness certificate
-        // needed.
-        Some(seed) => solve_maxmin_resumed(lp, simplex, seed)?,
-        None => {
-            let seed = match policy {
-                WarmStartPolicy::Off => None,
-                WarmStartPolicy::NearestClass => donors.get(&dims),
-            };
-            solve_maxmin_seeded(lp, simplex, seed)?
-        }
-    };
-    if policy == WarmStartPolicy::NearestClass {
-        donors.insert(dims, opt.warm_start());
-    }
-    Ok(SolvedLp {
-        x: opt.solution.into_vec(),
-        pivots: opt.pivots as u64,
-        installs: opt.installs as u64,
-        basis: opt.basis,
-        solved: true,
-        warm_attempted: report.warm_attempted,
-        warm_accepted: report.warm_accepted,
-    })
-}
-
-/// The cheap structural similarity key that orders class solves under
-/// [`WarmStartPolicy::NearestClass`]: problem dimensions first (so
-/// dimension-compatible classes are adjacent — only those can share a
-/// basis), then the sorted support-size signatures.
-fn similarity_key(lp: &MaxMinInstance) -> Vec<u64> {
-    let mut key = Vec::with_capacity(3 + lp.num_resources() + lp.num_parties());
-    key.push(lp.num_agents() as u64);
-    key.push(lp.num_resources() as u64);
-    key.push(lp.num_parties() as u64);
-    let mut sizes: Vec<u64> =
-        lp.resource_ids().map(|i| lp.resource(i).agents.len() as u64).collect();
-    sizes.sort_unstable();
-    key.extend(sizes);
-    let mut sizes: Vec<u64> = lp.party_ids().map(|k| lp.party(k).agents.len() as u64).collect();
-    sizes.sort_unstable();
-    key.extend(sizes);
-    key
+    let opt = solve_maxmin_with(lp, simplex)?;
+    Ok(SolvedLp { x: opt.solution.into_vec(), pivots: opt.pivots as u64, solved: true })
 }
 
 /// A ball's local LP together with its presentation key.
@@ -2270,7 +2050,7 @@ mod tests {
             assert_eq!(batch.local_x, reference.local_x, "{backend:?}");
             assert_eq!(batch.balls, reference.balls, "{backend:?}");
             assert_eq!(batch.class_of_ball, reference.class_of_ball, "{backend:?}");
-            assert_eq!(batch.class_bases, reference.class_bases, "{backend:?}");
+            assert_eq!(batch.class_solutions, reference.class_solutions, "{backend:?}");
             assert_eq!(batch.stats.unique_classes, reference.stats.unique_classes);
             assert_eq!(batch.stats.distinct_presentations, reference.stats.distinct_presentations);
         }
@@ -2300,121 +2080,115 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_changes_pivots_but_never_results() {
-        let cfg = GridConfig { side_lengths: vec![8, 8], torus: true, random_weights: true };
-        let inst = grid_instance(&cfg, &mut StdRng::seed_from_u64(11));
-        let cold = solve_local_lps(&inst, &LocalLpOptions::new(1)).unwrap();
-        let warm = solve_local_lps(&inst, &LocalLpOptions::new(1).with_warm_start()).unwrap();
-        assert_eq!(cold.local_x, warm.local_x);
-        assert_eq!(cold.class_of_ball, warm.class_of_ball);
-        assert_eq!(cold.stats.unique_classes, warm.stats.unique_classes);
-        assert_eq!(cold.stats.warm_attempts, 0);
-        assert!(warm.stats.warm_attempts > 0, "similar classes must be chained");
-        assert!(warm.stats.warm_accepted <= warm.stats.warm_attempts);
-    }
-
-    #[test]
-    fn resolving_from_a_basis_cache_skips_pivots_and_keeps_results_identical() {
+    fn re_solving_from_a_batch_memo_does_no_simplex_work() {
         let inst = grid(8, false);
-        let cold = solve_local_lps(&inst, &LocalLpOptions::new(1)).unwrap();
-        let cache = cold.basis_cache();
-        assert!(!cache.is_empty());
-        let warm = solve_local_lps_reusing(&inst, &LocalLpOptions::new(1), &cache).unwrap();
-        assert_eq!(cold.local_x, warm.local_x);
-        assert_eq!(cold.class_of_ball, warm.class_of_ball);
-        assert_eq!(cold.class_keys, warm.class_keys);
-        assert!(warm.stats.warm_attempts > 0, "every cached class must be seeded");
-        assert_eq!(warm.stats.warm_accepted, warm.stats.warm_attempts);
-        assert_eq!(
-            warm.stats.total_pivots, 0,
-            "an unchanged instance must re-solve without a single simplex iteration"
-        );
-        assert!(warm.stats.total_pivots < cold.stats.total_pivots);
+        let options = LocalLpOptions::new(1);
+        let cold = solve_local_lps(&inst, &options).unwrap();
+        let memo = cold.solution_memo(&options.simplex);
+        assert_eq!(memo.len(), cold.stats.unique_classes);
+        let again = solve_local_lps_reusing(&inst, &options, &memo).unwrap();
+        assert_eq!(cold.local_x, again.local_x);
+        assert_eq!(cold.class_of_ball, again.class_of_ball);
+        assert_eq!(cold.class_keys, again.class_keys);
+        assert_eq!(cold.class_solutions, again.class_solutions);
+        assert_eq!(cold.ball_objectives, again.ball_objectives);
+        assert!(cold.stats.total_pivots > 0);
+        assert_eq!(again.stats.lp_solves, 0);
+        assert_eq!(again.stats.total_pivots, 0);
+        assert_eq!(again.stats.memo_hits, again.stats.unique_classes);
+        // Every class was answered host-side: the solve stage shipped no job.
+        assert_eq!(again.stats.stage_shards[2].items(), 0);
+        assert_eq!(again.stats.cache_hits, inst.num_agents());
     }
 
     #[test]
-    fn a_foreign_basis_cache_never_changes_results() {
-        // A cache recorded from a *different* instance: lookups mostly miss
+    fn a_foreign_memo_never_changes_results() {
+        // A memo recorded from a *different* instance: lookups mostly miss
         // (different canonical keys) and any hit is a genuinely identical
         // canonical LP, so the results must be bit-identical to the cold
         // solve.
         let inst = grid(6, false);
         let other = grid(7, true);
-        let foreign = solve_local_lps(&other, &LocalLpOptions::new(1)).unwrap().basis_cache();
-        let cold = solve_local_lps(&inst, &LocalLpOptions::new(1)).unwrap();
-        let warm = solve_local_lps_reusing(&inst, &LocalLpOptions::new(1), &foreign).unwrap();
-        assert_eq!(cold.local_x, warm.local_x);
-        assert_eq!(cold.class_of_ball, warm.class_of_ball);
+        let options = LocalLpOptions::new(1);
+        let foreign = solve_local_lps(&other, &options).unwrap().solution_memo(&options.simplex);
+        let cold = solve_local_lps(&inst, &options).unwrap();
+        let reused = solve_local_lps_reusing(&inst, &options, &foreign).unwrap();
+        assert_eq!(cold.local_x, reused.local_x);
+        assert_eq!(cold.class_of_ball, reused.class_of_ball);
+        assert_eq!(cold.class_solutions, reused.class_solutions);
     }
 
     #[test]
-    fn basis_cache_capacity_evicts_least_recently_installed() {
+    fn a_memo_built_under_different_simplex_options_misses() {
+        let inst = grid(6, false);
+        let options = LocalLpOptions::new(1);
+        let cold = solve_local_lps(&inst, &options).unwrap();
+        let other = SimplexOptions { tolerance: 1e-10, ..options.simplex };
+        let memo = cold.solution_memo(&other);
+        assert_eq!(memo.len(), cold.stats.unique_classes);
+        let reused = solve_local_lps_reusing(&inst, &options, &memo).unwrap();
+        assert_eq!(reused.stats.memo_hits, 0);
+        assert_eq!(reused.stats.lp_solves, cold.stats.lp_solves);
+        assert_eq!(reused.stats.total_pivots, cold.stats.total_pivots);
+        assert_eq!(reused.local_x, cold.local_x);
+        assert!(memo.get(&cold.class_keys[0], &options.simplex).is_none());
+        assert!(memo.get(&cold.class_keys[0], &other).is_some());
+    }
+
+    #[test]
+    fn memo_capacity_evicts_least_recently_installed() {
         use mmlp_core::canonical::canonical_key;
         // Three structurally different instances give three distinct keys.
         let keys: Vec<Arc<CanonicalKey>> = [grid(2, false), grid(3, false), grid(4, false)]
             .iter()
             .map(|inst| Arc::new(canonical_key(inst)))
             .collect();
-        let seed = |i: usize| WarmStart { basis: vec![i] };
+        let x = |i: usize| -> Arc<[f64]> { Arc::from(vec![i as f64]) };
+        let simplex = SimplexOptions::default();
+        let get = |memo: &ClassSolutionMemo, k: usize| memo.get(&keys[k], &simplex).cloned();
 
-        let mut cache = ClassBasisCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        cache.install(keys[0].clone(), seed(0));
-        cache.install(keys[1].clone(), seed(1));
-        cache.install(keys[2].clone(), seed(2));
+        let mut memo = ClassSolutionMemo::with_capacity(2);
+        assert_eq!(memo.capacity(), 2);
+        memo.install(keys[0].clone(), &simplex, x(0));
+        memo.install(keys[1].clone(), &simplex, x(1));
+        memo.install(keys[2].clone(), &simplex, x(2));
         // Deterministic least-recently-installed eviction: keys[0] is gone.
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&keys[0]).is_none());
-        assert_eq!(cache.get(&keys[1]), Some(&seed(1)));
-        assert_eq!(cache.get(&keys[2]), Some(&seed(2)));
+        assert_eq!(memo.len(), 2);
+        assert!(get(&memo, 0).is_none());
+        assert_eq!(get(&memo, 1), Some(x(1)));
+        assert_eq!(get(&memo, 2), Some(x(2)));
 
         // Re-installing refreshes the position: keys[1] survives the next
         // eviction, keys[2] does not.
-        cache.install(keys[1].clone(), seed(9));
-        cache.install(keys[0].clone(), seed(0));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&keys[2]).is_none());
-        assert_eq!(cache.get(&keys[1]), Some(&seed(9)));
-        assert_eq!(cache.get(&keys[0]), Some(&seed(0)));
+        memo.install(keys[1].clone(), &simplex, x(9));
+        memo.install(keys[0].clone(), &simplex, x(0));
+        assert_eq!(memo.len(), 2);
+        assert!(get(&memo, 2).is_none());
+        assert_eq!(get(&memo, 1), Some(x(9)));
+        assert_eq!(get(&memo, 0), Some(x(0)));
 
-        // Empty bases are never installed and never evict anything.
-        cache.install(keys[2].clone(), WarmStart { basis: vec![] });
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&keys[2]).is_none());
-
-        // Capacity 0 clamps to 1 instead of becoming a cache that can never
+        // Capacity 0 clamps to 1 instead of becoming a memo that can never
         // hold the entry it just evicted everything for.
-        assert_eq!(ClassBasisCache::with_capacity(0).capacity(), 1);
+        assert_eq!(ClassSolutionMemo::with_capacity(0).capacity(), 1);
     }
 
     #[test]
-    fn basis_cache_stays_bounded_across_re_solves() {
-        // The regression this satellite fixes: absorbing a stream of
-        // different instances into one long-lived cache must not grow it
-        // without bound.
-        let mut cache = ClassBasisCache::with_capacity(3);
+    fn memo_stays_bounded_across_re_solves() {
+        // Absorbing a stream of different instances into one long-lived
+        // memo must not grow it without bound.
+        let options = LocalLpOptions::new(1);
+        let mut memo = ClassSolutionMemo::with_capacity(3);
         for side in 2..8usize {
-            let batch = solve_local_lps(&grid(side, false), &LocalLpOptions::new(1)).unwrap();
-            cache.absorb(&batch);
-            assert!(cache.len() <= 3, "cache grew to {} entries", cache.len());
+            let batch = solve_local_lps(&grid(side, false), &options).unwrap();
+            memo.absorb(&batch, &options.simplex);
+            assert!(memo.len() <= 3, "memo grew to {} entries", memo.len());
         }
-        // A bounded (even cold) cache still never changes results.
+        // A bounded memo still never changes results.
         let inst = grid(6, false);
-        let cold = solve_local_lps(&inst, &LocalLpOptions::new(1)).unwrap();
-        let reused = solve_local_lps_reusing(&inst, &LocalLpOptions::new(1), &cache).unwrap();
+        let cold = solve_local_lps(&inst, &options).unwrap();
+        let reused = solve_local_lps_reusing(&inst, &options, &memo).unwrap();
         assert_eq!(cold.local_x, reused.local_x);
         assert_eq!(cold.class_of_ball, reused.class_of_ball);
-    }
-
-    #[test]
-    fn basis_cache_skips_party_less_classes() {
-        // A single unconstrained-party instance: balls with no full party
-        // support record an empty basis, which must not enter the cache.
-        let inst = grid(4, false);
-        let batch = solve_local_lps(&inst, &LocalLpOptions::new(1)).unwrap();
-        let cache = batch.basis_cache();
-        assert!(cache.len() <= batch.class_bases.len());
-        assert_eq!(cache.len(), batch.class_bases.iter().filter(|b| !b.is_empty()).count());
     }
 
     #[test]
@@ -2428,7 +2202,7 @@ mod tests {
         let stages: Vec<&str> = batch.stats.stage_shards.iter().map(|s| s.stage).collect();
         assert_eq!(
             stages,
-            vec!["mmlp/present@1", "mmlp/canonicalise@1", "mmlp/solve@1", "mmlp/scatter@1"]
+            vec!["mmlp/present@1", "mmlp/canonicalise@1", "mmlp/solve@2", "mmlp/scatter@1"]
         );
         assert_eq!(batch.stats.stage_shards[0].items(), inst.num_agents());
         assert_eq!(batch.stats.stage_shards[3].items(), inst.num_agents());
@@ -2452,7 +2226,7 @@ mod tests {
         assert_eq!(s.cache_hits, s.balls_enumerated - s.unique_classes);
         assert!(s.cache_hit_rate() > 0.0);
         assert!(s.dedup_factor() > 1.0);
-        assert_eq!(batch.class_bases.len(), s.unique_classes);
+        assert_eq!(batch.class_solutions.len(), s.unique_classes);
     }
 
     #[test]
@@ -2541,18 +2315,16 @@ mod tests {
         assert_eq!(run.batch.balls, cold.balls);
         assert_eq!(run.batch.class_of_ball, cold.class_of_ball);
         assert_eq!(run.batch.class_keys, cold.class_keys);
-        // Same contract as the warm-reuse path (`tests/conformance_batched.rs`):
-        // one basis per class, each an optimal basis of its class — the dual
-        // path may record a different representative basis of the same
-        // optimal vertex than the cold pivot history.
-        assert_eq!(run.batch.class_bases.len(), cold.class_bases.len());
+        assert_eq!(run.batch.class_solutions, cold.class_solutions);
         // The work scaled with the churn, not the instance.
         assert_eq!(run.changed_agents, 2);
         assert!(run.affected_agents < inst.num_agents());
         assert!(run.batch.stats.lp_solves < cold.stats.lp_solves);
         assert!(run.resolve_wire_bytes > 0);
-        // Perturbed classes went through the dual-simplex phase.
-        assert!(run.batch.stats.dual_attempts > 0);
+        // Perturbed classes were solved cold; the hits count over the
+        // re-presented balls only.
+        assert!(run.batch.stats.lp_solves > 0);
+        assert!((0.0..=1.0).contains(&run.batch.stats.cache_hit_rate()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The engine binding of the multi-tenant
 //! [`SolveService`]: admit whole batched solves
-//! — optionally sharing one bounded [`ClassBasisCache`] across tenants.
+//! — optionally sharing one bounded [`ClassSolutionMemo`] across tenants.
 //!
 //! `mmlp-parallel`'s service is deliberately domain-blind (a request is just
 //! a closure).  [`EngineService`] is the domain layer on top:
@@ -11,16 +11,16 @@
 //!   admitted solves land on the same process-wide pooled subprocess
 //!   workers as solo solves.
 //! * With [`with_shared_cache`](EngineService::with_shared_cache), tenants
-//!   share one bounded [`ClassBasisCache`]: each admitted solve clones the
-//!   donor cache, runs the seeded path ([`solve_local_lps_reusing`]) and
-//!   absorbs its fresh bases back.  Sharing is safe *because* of the
-//!   engine's zero-pivot exactness gate — a seeded basis is only accepted
-//!   when it is certifiably optimal for the class, so results remain
-//!   bit-identical to an isolated cold solve no matter which tenant warmed
-//!   the cache (the conformance suite asserts this).
-//! * Accepted cross-run seeds are booked per tenant into
+//!   share one bounded [`ClassSolutionMemo`]: each admitted solve snapshots
+//!   the memo, runs the memo path ([`solve_local_lps_reusing`]) and absorbs
+//!   its class solutions back.  Sharing is safe because a memo hit is the
+//!   solution of a bit-identical canonical LP under the same simplex
+//!   options, so results remain bit-identical to an isolated cold solve no
+//!   matter which tenant filled the memo (the conformance suite asserts
+//!   this).
+//! * Memo hits are booked per tenant into
 //!   [`TenantCounters::cache_hits`](mmlp_parallel::TenantCounters) (from
-//!   the batch's `warm_accepted` stat), so operators can see which tenants
+//!   the batch's `memo_hits` stat), so operators can see which tenants
 //!   actually benefit from sharing.
 //!
 //! Simulator epochs are admitted through the same underlying service via
@@ -35,7 +35,7 @@ use mmlp_parallel::{
 };
 
 use crate::engine::{
-    solve_local_lps, solve_local_lps_incremental, solve_local_lps_reusing, ClassBasisCache,
+    solve_local_lps, solve_local_lps_incremental, solve_local_lps_reusing, ClassSolutionMemo,
     EngineError, IncrementalRun, InstanceDelta, LocalLpBatch, LocalLpOptions, RegisteredBase,
 };
 
@@ -45,7 +45,7 @@ use crate::engine::{
 pub struct EngineService {
     service: SolveService,
     metrics: ServiceMetrics,
-    cache: Option<Arc<Mutex<ClassBasisCache>>>,
+    memo: Option<Arc<Mutex<ClassSolutionMemo>>>,
 }
 
 impl EngineService {
@@ -54,28 +54,28 @@ impl EngineService {
     pub fn new(config: ServiceConfig) -> Self {
         let service = SolveService::new(config);
         let metrics = service.metrics();
-        Self { service, metrics, cache: None }
+        Self { service, metrics, memo: None }
     }
 
-    /// A service whose tenants share one bounded [`ClassBasisCache`] of
-    /// `capacity` classes.  Exactness is preserved: the zero-pivot gate
-    /// accepts a shared seed only when it is certifiably optimal, so every
-    /// tenant's results stay bit-identical to an isolated cold solve.
+    /// A service whose tenants share one bounded [`ClassSolutionMemo`] of
+    /// `capacity` classes.  Exactness is preserved: a memo hit is the
+    /// solution of a bit-identical canonical LP, so every tenant's results
+    /// stay bit-identical to an isolated cold solve.
     pub fn with_shared_cache(config: ServiceConfig, capacity: usize) -> Self {
         let service = SolveService::new(config);
         let metrics = service.metrics();
         Self {
             service,
             metrics,
-            cache: Some(Arc::new(Mutex::new(ClassBasisCache::with_capacity(capacity)))),
+            memo: Some(Arc::new(Mutex::new(ClassSolutionMemo::with_capacity(capacity)))),
         }
     }
 
     /// Admits one batched solve for `tenant`.
     ///
-    /// With a shared cache, the request runs the seeded path against a
-    /// snapshot of the cache, absorbs its fresh bases back afterwards, and
-    /// books the accepted seeds into the tenant's `cache_hits` counter.
+    /// With a shared memo, the request runs the memo path against a
+    /// snapshot of the memo, absorbs its class solutions back afterwards,
+    /// and books the memo hits into the tenant's `cache_hits` counter.
     ///
     /// # Errors
     ///
@@ -88,16 +88,19 @@ impl EngineService {
         instance: MaxMinInstance,
         options: LocalLpOptions,
     ) -> Result<Ticket<Result<LocalLpBatch, EngineError>>, ServiceError> {
-        let cache = self.cache.clone();
+        let memo = self.memo.clone();
         let metrics = self.metrics.clone();
-        self.service.submit(tenant, move || match cache {
+        self.service.submit(tenant, move || match memo {
             Some(shared) => {
-                // Snapshot the donor under the lock, solve outside it — a
+                // Snapshot the memo under the lock, solve outside it — a
                 // long solve must not serialise other tenants' admissions.
-                let donor = shared.lock().unwrap_or_else(PoisonError::into_inner).clone();
-                let batch = solve_local_lps_reusing(&instance, &options, &donor)?;
-                metrics.record_cache_hits(tenant, batch.stats.warm_accepted as u64);
-                shared.lock().unwrap_or_else(PoisonError::into_inner).absorb(&batch);
+                let snapshot = shared.lock().unwrap_or_else(PoisonError::into_inner).clone();
+                let batch = solve_local_lps_reusing(&instance, &options, &snapshot)?;
+                metrics.record_cache_hits(tenant, batch.stats.memo_hits as u64);
+                shared
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .absorb(&batch, &options.simplex);
                 Ok(batch)
             }
             None => solve_local_lps(&instance, &options),
@@ -136,9 +139,9 @@ impl EngineService {
         self.service.counters(tenant)
     }
 
-    /// Number of classes currently in the shared cache (0 when isolated).
+    /// Number of classes currently in the shared memo (0 when isolated).
     pub fn shared_classes(&self) -> usize {
-        self.cache
+        self.memo
             .as_ref()
             .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).len())
             .unwrap_or(0)

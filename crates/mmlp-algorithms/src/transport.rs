@@ -10,7 +10,7 @@
 //! | `mmlp/present-delta@1`| radius + version + base instance | weight edits + affected agents | `ShardPresentation`   |
 //! | `mmlp/canonicalise@1`| —                          | the shard's presented LPs        | `ShardClasses`             |
 //! | `mmlp/present-lifted@1`| grid coarseness `ε`      | the shard's presented LPs        | `ShardQuasiClasses` (classes + per-form slacks) |
-//! | `mmlp/solve@1`       | simplex options + policy   | (canonical LP, cached seed) list | solved LPs / typed errors  |
+//! | `mmlp/solve@2`       | simplex options            | canonical LP list                | solved LPs / typed errors  |
 //! | `mmlp/scatter@1`     | deduplicated solutions     | (labelling, solution idx) list   | per-ball activity vectors  |
 //!
 //! Host and worker share the *same per-shard stage functions*
@@ -23,14 +23,14 @@
 //! the resulting solutions are equal to the sequential backend's, bit for
 //! bit.
 //!
-//! The `@1` suffixes are the payload versions (see the versioning rule in
+//! The `@N` suffixes are the payload versions (see the versioning rule in
 //! [`mmlp_parallel::wire`]): a layout change bumps the suffix so an old
 //! worker reports an unknown stage instead of misreading bytes.
 
 use crate::engine::{
     canonicalise_shard, lift_shard, present_agents, present_shard, solve_shard, unpermute_values,
     InstanceDelta, PresentedLp, ShardClasses, ShardPresentation, ShardQuasiClasses, SolvedLp,
-    WarmStartPolicy, WeightEdit, WeightKind,
+    WeightEdit, WeightKind,
 };
 use crate::runner::{LocalRuleProgram, LOCAL_RULE_PROGRAM_ID};
 use mmlp_core::canonical::{CanonicalForm, CanonicalKey};
@@ -40,7 +40,7 @@ use mmlp_distsim::{
     STAGE_SIM_EPOCH, STAGE_SIM_ROUND,
 };
 use mmlp_hypergraph::{communication_hypergraph, NeighborCache};
-use mmlp_lp::{LpError, SimplexOptions, WarmStart};
+use mmlp_lp::{LpError, SimplexOptions};
 use mmlp_parallel::wire::{
     put_f64, put_f64s, put_str, put_u64, put_u64s, put_u8, put_usize, put_usizes, ByteReader,
     WireError,
@@ -65,7 +65,7 @@ pub const STAGE_CANONICALISE: &str = "mmlp/canonicalise@1";
 /// reply a quasi-class table plus each presentation's measured slack.
 pub const STAGE_PRESENT_LIFTED: &str = "mmlp/present-lifted@1";
 /// Stage identifier of the *solve* stage.
-pub const STAGE_SOLVE: &str = "mmlp/solve@1";
+pub const STAGE_SOLVE: &str = "mmlp/solve@2";
 /// Stage identifier of the *scatter* stage.
 pub const STAGE_SCATTER: &str = "mmlp/scatter@1";
 
@@ -224,31 +224,6 @@ pub fn read_instance_delta(
     Ok(InstanceDelta { base_version, edits })
 }
 
-/// Encodes an optional warm-start seed.
-pub fn put_warm_start(out: &mut Vec<u8>, seed: Option<&WarmStart>) {
-    match seed {
-        None => put_u8(out, 0),
-        Some(ws) => {
-            put_u8(out, 1);
-            put_usizes(out, &ws.basis);
-        }
-    }
-}
-
-/// Decodes an optional warm-start seed.
-///
-/// # Errors
-///
-/// Typed [`WireError`]s on malformed input.
-pub fn read_warm_start(r: &mut ByteReader<'_>) -> Result<Option<WarmStart>, WireError> {
-    const CTX: &str = "warm start";
-    match r.u8(CTX)? {
-        0 => Ok(None),
-        1 => Ok(Some(WarmStart { basis: r.usizes(CTX)? })),
-        _ => Err(WireError::Decode { context: CTX }),
-    }
-}
-
 /// Encodes a canonical form (key words, labelling, canonical instance).
 pub fn put_canonical_form(out: &mut Vec<u8>, form: &CanonicalForm) {
     put_u64s(out, form.key.as_words());
@@ -275,30 +250,19 @@ pub fn read_canonical_form(r: &mut ByteReader<'_>) -> Result<CanonicalForm, Wire
 fn put_solved_lp(out: &mut Vec<u8>, lp: &SolvedLp) {
     put_f64s(out, &lp.x);
     put_u64(out, lp.pivots);
-    put_u64(out, lp.installs);
-    put_usizes(out, &lp.basis);
-    let flags = u8::from(lp.solved)
-        | (u8::from(lp.warm_attempted) << 1)
-        | (u8::from(lp.warm_accepted) << 2);
-    put_u8(out, flags);
+    put_u8(out, u8::from(lp.solved));
 }
 
 fn read_solved_lp(r: &mut ByteReader<'_>) -> Result<SolvedLp, WireError> {
     const CTX: &str = "solved lp";
     let x = r.f64s(CTX)?;
     let pivots = r.u64(CTX)?;
-    let installs = r.u64(CTX)?;
-    let basis = r.usizes(CTX)?;
-    let flags = r.u8(CTX)?;
-    Ok(SolvedLp {
-        x,
-        pivots,
-        installs,
-        basis,
-        solved: flags & 1 != 0,
-        warm_attempted: flags & 2 != 0,
-        warm_accepted: flags & 4 != 0,
-    })
+    let solved = match r.u8(CTX)? {
+        0 => false,
+        1 => true,
+        _ => return Err(WireError::Decode { context: CTX }),
+    };
+    Ok(SolvedLp { x, pivots, solved })
 }
 
 fn put_lp_result(out: &mut Vec<u8>, result: &Result<SolvedLp, LpError>) {
@@ -422,21 +386,6 @@ fn read_simplex_options(r: &mut ByteReader<'_>) -> Result<SimplexOptions, WireEr
         max_pivots: r.usize(CTX)?,
         bland_after: r.usize(CTX)?,
     })
-}
-
-fn policy_byte(policy: WarmStartPolicy) -> u8 {
-    match policy {
-        WarmStartPolicy::Off => 0,
-        WarmStartPolicy::NearestClass => 1,
-    }
-}
-
-fn read_policy(r: &mut ByteReader<'_>) -> Result<WarmStartPolicy, WireError> {
-    match r.u8("warm-start policy")? {
-        0 => Ok(WarmStartPolicy::Off),
-        1 => Ok(WarmStartPolicy::NearestClass),
-        _ => Err(WireError::Decode { context: "warm-start policy" }),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -606,14 +555,11 @@ impl WireStage for LiftedCanonWireStage<'_> {
     }
 }
 
-/// Stage 3 as a wire stage: context carries the simplex options and the
-/// warm-start policy; a job carries the shard's `(canonical LP, cached
-/// seed)` sequence *in solve order*, so the worker's donor chaining matches
-/// the in-process path exactly.
+/// Stage 3 as a wire stage: the context carries the simplex options, a job
+/// the shard's canonical LPs (the memo misses, in class order).
 pub(crate) struct SolveWireStage<'a> {
-    pub(crate) jobs: Vec<(&'a MaxMinInstance, Option<&'a WarmStart>)>,
+    pub(crate) jobs: Vec<&'a MaxMinInstance>,
     pub(crate) simplex: SimplexOptions,
-    pub(crate) policy: WarmStartPolicy,
 }
 
 impl WireStage for SolveWireStage<'_> {
@@ -625,14 +571,12 @@ impl WireStage for SolveWireStage<'_> {
 
     fn encode_context(&self, out: &mut Vec<u8>) {
         put_simplex_options(out, &self.simplex);
-        put_u8(out, policy_byte(self.policy));
     }
 
     fn encode_job(&self, shard: &Shard, out: &mut Vec<u8>) {
         put_usize(out, shard.len());
-        for (lp, cached) in &self.jobs[shard.range()] {
+        for lp in &self.jobs[shard.range()] {
             put_instance(out, lp);
-            put_warm_start(out, *cached);
         }
     }
 
@@ -646,7 +590,7 @@ impl WireStage for SolveWireStage<'_> {
     }
 
     fn run_local(&self, shard: &Shard) -> Self::Output {
-        solve_shard(&self.jobs[shard.range()], &self.simplex, self.policy)
+        solve_shard(&self.jobs[shard.range()], &self.simplex)
     }
 }
 
@@ -821,21 +765,17 @@ fn handle_present_lifted(
 }
 
 fn handle_solve(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Result<Vec<u8>, String> {
-    let (simplex, policy) = *cache.get_or_try_insert_with(|| {
-        let mut r = ByteReader::new(ctx);
-        let simplex = read_simplex_options(&mut r).map_err(wire_err)?;
-        let policy = read_policy(&mut r).map_err(wire_err)?;
-        Ok((simplex, policy))
+    let simplex = *cache.get_or_try_insert_with(|| {
+        read_simplex_options(&mut ByteReader::new(ctx)).map_err(wire_err)
     })?;
     let mut r = ByteReader::new(job);
     let len = r.seq_len(1, "solve job").map_err(wire_err)?;
-    let decoded: Vec<(MaxMinInstance, Option<WarmStart>)> = (0..len)
-        .map(|_| Ok((read_instance(&mut r)?, read_warm_start(&mut r)?)))
+    let decoded: Vec<MaxMinInstance> = (0..len)
+        .map(|_| read_instance(&mut r))
         .collect::<Result<Vec<_>, WireError>>()
         .map_err(wire_err)?;
-    let jobs: Vec<(&MaxMinInstance, Option<&WarmStart>)> =
-        decoded.iter().map(|(lp, seed)| (lp, seed.as_ref())).collect();
-    let results = solve_shard(&jobs, &simplex, policy);
+    let jobs: Vec<&MaxMinInstance> = decoded.iter().collect();
+    let results = solve_shard(&jobs, &simplex);
     let mut out = Vec::new();
     put_usize(&mut out, results.len());
     for result in &results {
@@ -1157,22 +1097,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_and_lp_result_codecs_roundtrip() {
-        for seed in [None, Some(WarmStart { basis: vec![3, 1, 4, 1, 5] })] {
-            let mut bytes = Vec::new();
-            put_warm_start(&mut bytes, seed.as_ref());
-            assert_eq!(read_warm_start(&mut ByteReader::new(&bytes)).unwrap(), seed);
-        }
+    fn lp_result_codec_roundtrips() {
         let results: Vec<Result<SolvedLp, LpError>> = vec![
-            Ok(SolvedLp {
-                x: vec![0.5, -0.0, 1.25],
-                pivots: 9,
-                installs: 2,
-                basis: vec![1, 7],
-                solved: true,
-                warm_attempted: true,
-                warm_accepted: false,
-            }),
+            Ok(SolvedLp { x: vec![0.5, -0.0, 1.25], pivots: 9, solved: true }),
+            Ok(SolvedLp { x: vec![0.0; 2], pivots: 0, solved: false }),
             Err(LpError::Malformed("nope".to_string())),
             Err(LpError::IterationLimit { iterations: 123 }),
         ];
@@ -1238,7 +1166,7 @@ mod tests {
         assert_eq!(via_wire.balls, reference.balls);
         assert_eq!(via_wire.class_of_ball, reference.class_of_ball);
         assert_eq!(via_wire.class_keys, reference.class_keys);
-        assert_eq!(via_wire.class_bases, reference.class_bases);
+        assert_eq!(via_wire.class_solutions, reference.class_solutions);
         assert_eq!(via_wire.stats.unique_classes, reference.stats.unique_classes);
         assert_eq!(via_wire.stats.distinct_presentations, reference.stats.distinct_presentations);
         // The stage statistics must now carry the transport backend's name.

@@ -1,7 +1,7 @@
 //! Benchmark for the pluggable sharded solve backend: the batched engine on
 //! every built-in backend and several shard counts (the agent-range split a
-//! multi-machine deployment would use), plus the warm-start reuse paths on
-//! the 50×50 acceptance workload.
+//! multi-machine deployment would use), plus the cold solve against a
+//! re-solve from the solution memo on the 50×50 acceptance workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maxmin_local_lp::prelude::*;
@@ -49,33 +49,28 @@ fn bench_shard_count_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_start_reuse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_warm_start_reuse_grid50_r2");
+fn bench_memo_re_solve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e8_memo_re_solve_grid50_r2");
     group.sample_size(10);
     let inst = uniform_grid(50);
-    let cache = solve_local_lps(&inst, &LocalLpOptions::new(2)).unwrap().basis_cache();
+    let options = LocalLpOptions::new(2);
+    let memo = solve_local_lps(&inst, &options).unwrap().solution_memo(&options.simplex);
     group.bench_function("cold", |b| {
         b.iter(|| {
-            let batch = solve_local_lps(&inst, &LocalLpOptions::new(2)).unwrap();
+            let batch = solve_local_lps(&inst, &options).unwrap();
             std::hint::black_box(batch.stats.total_pivots)
         })
     });
-    group.bench_function("reuse-cache", |b| {
+    group.bench_function("memo", |b| {
         b.iter(|| {
-            let batch = solve_local_lps_reusing(&inst, &LocalLpOptions::new(2), &cache).unwrap();
-            // The acceptance property: re-solving from the cache must save
-            // simplex iterations on this workload.
-            assert!(batch.stats.warm_accepted > 0);
-            std::hint::black_box(batch.stats.total_pivots)
+            let batch = solve_local_lps_reusing(&inst, &options, &memo).unwrap();
+            // Every class is a memo hit: no simplex work at all.
+            assert_eq!(batch.stats.lp_solves, 0);
+            std::hint::black_box(batch.stats.memo_hits)
         })
     });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_backends_on_grid50,
-    bench_shard_count_sweep,
-    bench_warm_start_reuse
-);
+criterion_group!(benches, bench_backends_on_grid50, bench_shard_count_sweep, bench_memo_re_solve);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! opposite: many tenants (sensor fields, ISP slices) submit small
 //! overlapping solves continuously, and the questions become queueing
 //! questions — latency percentiles, throughput, fairness, and what the
-//! shared class-basis cache buys across tenants.  This experiment drives
+//! shared class-solution memo buys across tenants.  This experiment drives
 //! the [`SolveService`] front-end with Poisson arrivals and measures
 //! exactly that:
 //!
@@ -14,10 +14,10 @@
 //!    result) and completed requests/sec for every tenants × executors
 //!    cell, plus how often typed backpressure ([`ServiceError::QueueFull`])
 //!    fired.
-//! 2. **Cross-tenant cache sharing.**  The same tenant mix, solving
+//! 2. **Cross-tenant memo sharing.**  The same tenant mix, solving
 //!    structurally identical instances, once with isolated tenants and once
-//!    sharing one bounded [`ClassBasisCache`]: the table reports the
-//!    latency drop and the per-tenant cache-hit counters.  Results stay
+//!    sharing one bounded [`ClassSolutionMemo`]: the table reports the
+//!    latency drop and the per-tenant memo-hit counters.  Results stay
 //!    bit-identical either way (asserted here; the conformance suite
 //!    `tests/solve_service.rs` proves it exhaustively).
 //!
@@ -209,9 +209,9 @@ fn main() {
         }
     }
 
-    banner("E12b: cross-tenant class-basis cache sharing");
-    println!("Same tenant mix; tenants' instances are structurally identical, so every");
-    println!("class a tenant solves cold is a seed for every other tenant.\n");
+    banner("E12b: cross-tenant class-solution memo sharing");
+    println!("Same tenant mix; tenants' instances are structurally identical, so a class");
+    println!("one tenant solves cold is a memo hit for every tenant whose class key matches.\n");
     let tenants = if smoke { 2u64 } else { 4 };
     let widths = [22usize, 10, 10, 12, 12];
     print_row(
@@ -230,7 +230,7 @@ fn main() {
         let load =
             drive_poisson(&service, tenants, requests_per_tenant, mean_interarrival, options);
         let hits: u64 = (1..=tenants).map(|t| service.counters(t).cache_hits).sum();
-        let label = if shared { "shared cache" } else { "isolated" };
+        let label = if shared { "shared memo" } else { "isolated" };
         print_row(
             &[
                 label.into(),
@@ -251,10 +251,10 @@ fn main() {
             ],
         );
         if shared {
-            assert!(hits > 0, "structurally identical tenants must hit the shared cache");
+            assert!(hits > 0, "structurally identical tenants must hit the shared memo");
         }
     }
-    println!("\nSharing is gated by the zero-pivot exactness certificate, so the results");
+    println!("\nA memo hit is the solution of a bit-identical canonical LP, so the results");
     println!("are bit-identical to isolated cold solves (tests/solve_service.rs).");
 
     match report.write() {

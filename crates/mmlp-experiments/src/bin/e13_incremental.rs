@@ -6,19 +6,17 @@
 //! (the full instance crosses each link a single time, then the per-stage
 //! context dedup keeps it resident) and every re-solve ships only the weight
 //! edits plus the affected-ball lists — `O(churn)`, not `O(instance)`.
-//! Solving reuses the registered batch: unaffected balls verbatim, unchanged
-//! classes through the zero-pivot exactness gate, perturbed classes through
-//! the dual-simplex phase seeded from their predecessor's basis, certified
-//! fallbacks everywhere else.
+//! Solving reuses the registered batch: unaffected balls verbatim, classes
+//! whose canonical key the base already has from its stored solutions (memo
+//! hits), and only perturbed classes are solved cold.
 //!
 //! This experiment sweeps the weight-churn rate on a fixed grid across the
 //! sequential, loopback and subprocess backends, and reports for each step:
 //! re-solve latency vs a cold solve of the same patched instance, the wire
-//! bytes the delta job occupies vs the one-time registered context, and the
-//! seed-path counters (exact hits, dual attempts/accepts, cold fallbacks).
-//! Every step asserts the incremental batch bit-identical to the cold one
-//! (solutions, balls, class numbering and keys; bases follow the warm-reuse
-//! contract).
+//! bytes the delta job occupies vs the one-time registered context, and how
+//! many affected classes were memo hits vs cold solves.  Every step asserts
+//! the incremental batch bit-identical to the cold one (solutions, balls,
+//! class numbering, class keys and class solutions).
 //!
 //! Writes `BENCH_e13_incremental.json` with every number in the tables.
 //! Set `MMLP_E13_SMOKE=1` for a seconds-scale CI run of the same code.
@@ -74,7 +72,13 @@ fn assert_bit_identical(run: &IncrementalRun, cold: &LocalLpBatch, label: &str) 
     assert_eq!(run.batch.balls, cold.balls, "{label}: balls diverged");
     assert_eq!(run.batch.class_of_ball, cold.class_of_ball, "{label}: classes diverged");
     assert_eq!(run.batch.class_keys, cold.class_keys, "{label}: class keys diverged");
-    assert_eq!(run.batch.class_bases.len(), cold.class_bases.len(), "{label}: class count");
+    let bits = |b: &LocalLpBatch| -> Vec<Vec<u64>> {
+        b.class_solutions
+            .iter()
+            .map(|x| x.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&run.batch), bits(cold), "{label}: class solutions diverged");
 }
 
 fn main() {
@@ -127,7 +131,7 @@ fn main() {
             "cold ms".into(),
             "speedup".into(),
             "wire bytes".into(),
-            "exact/dual/cold".into(),
+            "memo/cold".into(),
         ],
         &COLS,
     );
@@ -170,7 +174,6 @@ fn main() {
             assert_bit_identical(&run, &cold, &label);
 
             let s = &run.batch.stats;
-            let cold_solves = s.lp_solves - s.warm_accepted - s.dual_accepted;
             print_row(
                 &[
                     format!("{name} / {churn}"),
@@ -180,7 +183,7 @@ fn main() {
                     fmt(cold_ms, 2),
                     fmt(cold_ms / resolve_ms.max(1e-9), 1),
                     run.resolve_wire_bytes.to_string(),
-                    format!("{}/{}/{}", s.warm_accepted, s.dual_attempts, cold_solves),
+                    format!("{}/{}", s.memo_hits, s.lp_solves),
                 ],
                 &COLS,
             );
@@ -196,10 +199,8 @@ fn main() {
                     ("register_bytes", register_bytes as f64),
                     ("pivots", s.total_pivots as f64),
                     ("cold_pivots", cold.stats.total_pivots as f64),
-                    ("exact_hits", s.warm_accepted as f64),
-                    ("dual_attempts", s.dual_attempts as f64),
-                    ("dual_accepted", s.dual_accepted as f64),
-                    ("cold_solves", cold_solves as f64),
+                    ("memo_hits", s.memo_hits as f64),
+                    ("cold_solves", s.lp_solves as f64),
                 ],
             );
         }

@@ -1,6 +1,6 @@
 //! Experiment E7 — the batched local-LP engine at work.
 //!
-//! Three demonstrations:
+//! Two demonstrations:
 //!
 //! 1. **Dedup on the acceptance workload.**  On a 50×50 grid every interior
 //!    agent sees the same radius-`R` ball up to relabelling, so the
@@ -10,13 +10,9 @@
 //!    wall-clock.
 //! 2. **Batched vs naive wall-clock.**  The same computation with dedup
 //!    disabled (the bit-identical reference mode) on a smaller grid.
-//! 3. **Warm starts.**  Re-solving a max-min LP from its own optimal basis
-//!    performs zero simplex iterations — the hook behind the engine's
-//!    cross-run basis cache (`LocalLpBatch::basis_cache`, experiment E8c).
 //!
 //! Writes `BENCH_e7_batched_engine.json` with every number in the tables.
 
-use maxmin_local_lp::lp::{build_maxmin_lp, solve_with, solve_with_warm_start, WarmStart};
 use maxmin_local_lp::prelude::*;
 use mmlp_experiments::report::BenchReport;
 use mmlp_experiments::{banner, fmt, print_row};
@@ -80,7 +76,6 @@ fn main() {
                 ("dedup_ratio", s.dedup_ratio()),
                 ("cache_hit_rate", s.cache_hit_rate()),
                 ("pivots", s.total_pivots as f64),
-                ("installs", s.total_installs as f64),
                 ("enumerate_ms", s.timings.enumerate.as_secs_f64() * 1e3),
                 ("canonicalise_ms", s.timings.canonicalise.as_secs_f64() * 1e3),
                 ("solve_ms", s.timings.solve.as_secs_f64() * 1e3),
@@ -138,48 +133,6 @@ fn main() {
         );
     }
     println!("\nThe two modes return bit-identical solutions (asserted above).");
-
-    banner("E7c: warm-start hook — re-solving an LP from its optimal basis");
-    let torus = grid_instance(
-        &GridConfig { side_lengths: vec![14, 14], torus: true, random_weights: true },
-        &mut StdRng::seed_from_u64(4),
-    );
-    let options = SimplexOptions::default();
-    let lp = build_maxmin_lp(&torus);
-    let cold = solve_with(&lp, &options).unwrap();
-    let warm =
-        solve_with_warm_start(&lp, &options, Some(&WarmStart::from_solution(&cold))).unwrap();
-    assert!((cold.objective - warm.objective).abs() < 1e-9);
-    let widths = [10usize, 12, 12, 14];
-    print_row(&["solve".into(), "pivots".into(), "installs".into(), "objective".into()], &widths);
-    print_row(
-        &[
-            "cold".into(),
-            cold.pivots.to_string(),
-            cold.installs.to_string(),
-            fmt(cold.objective, 6),
-        ],
-        &widths,
-    );
-    print_row(
-        &[
-            "warm".into(),
-            warm.pivots.to_string(),
-            warm.installs.to_string(),
-            fmt(warm.objective, 6),
-        ],
-        &widths,
-    );
-    for (solve, sol) in [("cold", &cold), ("warm", &warm)] {
-        report.push(
-            &format!("torus-14x14-{solve}"),
-            &[("pivots", sol.pivots as f64), ("installs", sol.installs as f64)],
-        );
-    }
-    assert_eq!(warm.pivots, 0, "re-solving from the optimal basis must not pivot");
-    println!("\nThe warm re-solve pays one installation elimination per row and performs zero");
-    println!("simplex iterations; the engine's basis cache (E8c) scales this reuse to whole");
-    println!("batches, certificate-gated so batched results stay bit-identical.");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

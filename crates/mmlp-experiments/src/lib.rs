@@ -11,8 +11,8 @@
 //! | `e4_growth_scheme` | Theorem 3 / Figure 2: growth-bounded approximation scheme |
 //! | `e5_sensor_network` | Section 2 sensor-network application |
 //! | `e6_scalability` | Section 1.1 constant-per-node scalability claim |
-//! | `e7_batched_engine` | batched local-LP engine: dedup stats, naive mode, warm starts |
-//! | `e8_sharded_backend` | solve backends compared: shard counts, warm starts, wall-clock |
+//! | `e7_batched_engine` | batched local-LP engine: dedup stats, naive mode |
+//! | `e8_sharded_backend` | solve backends compared: shard counts, memo re-solve, wall-clock |
 //!
 //! Besides their human-readable tables, `e7` and `e8` write a machine-
 //! readable `BENCH_*.json` summary (see [`report`]) so the performance

@@ -25,12 +25,6 @@ pub mod problem;
 pub mod simplex;
 
 pub use interval::CertifiedInterval;
-pub use maxmin::{
-    build_maxmin_lp, solve_maxmin, solve_maxmin_dual_resumed, solve_maxmin_resumed,
-    solve_maxmin_seeded, solve_maxmin_warm, solve_maxmin_with, MaxMinOptimum, SeededSolveReport,
-};
+pub use maxmin::{build_maxmin_lp, solve_maxmin, solve_maxmin_with, MaxMinOptimum};
 pub use problem::{ConstraintOp, LpConstraint, LpError, LpProblem, ObjectiveSense};
-pub use simplex::{
-    resolve_from_basis, solve, solve_with, solve_with_warm_start, try_dual_warm_solve,
-    try_warm_solve, BasisResolution, LpSolution, LpStatus, SimplexOptions, WarmProbe, WarmStart,
-};
+pub use simplex::{solve, solve_with, LpSolution, LpStatus, SimplexOptions};

@@ -10,7 +10,9 @@
 //! The implementation favours clarity and robustness over raw speed: the LPs
 //! solved in this repository are the bounded-size local LPs (9) of the paper
 //! and moderate-size global baselines, for which a dense tableau is entirely
-//! adequate.
+//! adequate.  Every solve is a cold two-phase run with fixed tie-breaking, so
+//! the returned `x` is a deterministic function of the problem and the
+//! options: callers that need to reuse a result memoise it by problem.
 
 use crate::problem::{ConstraintOp, LpError, LpProblem, ObjectiveSense};
 
@@ -37,43 +39,8 @@ pub struct LpSolution {
     /// (meaningful only when `status == Optimal`).
     pub objective: f64,
     /// Total number of simplex *iterations* (entering/leaving pivots)
-    /// performed across both phases.  Basis-installation eliminations — the
-    /// warm-start analogue of a factorisation — are counted separately in
-    /// [`installs`](LpSolution::installs), matching how LP solvers
-    /// conventionally report warm-start savings.
+    /// performed across both phases.
     pub pivots: usize,
-    /// Gauss–Jordan eliminations spent installing a starting basis (0 for a
-    /// plain cold solve; a cold fallback after a rejected warm start carries
-    /// the rejected installation's eliminations).
-    pub installs: usize,
-    /// The final basis: the column index that is basic in each tableau row
-    /// (structural and slack/surplus columns only, after artificials are
-    /// driven out).  Empty unless `status == Optimal`.  Feed it back through
-    /// [`solve_with_warm_start`] to re-solve the same (or a perturbed)
-    /// problem without paying for phase 1.
-    pub basis: Vec<usize>,
-}
-
-/// A starting basis for [`solve_with_warm_start`], usually taken from a
-/// previous [`LpSolution::basis`].
-///
-/// The basis is a set of column indices in the solver's column layout
-/// (structural variables first, then one slack/surplus column per `≤`/`≥`
-/// constraint, in constraint order).  A warm start is *advisory*: if the
-/// basis does not fit the problem (wrong cardinality, singular, or primal
-/// infeasible) the solver silently falls back to the ordinary two-phase
-/// method, so reusing a basis across structurally different problems is safe.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WarmStart {
-    /// Basic column indices, one per constraint row.
-    pub basis: Vec<usize>,
-}
-
-impl WarmStart {
-    /// A warm start from the final basis of a previous solution.
-    pub fn from_solution(solution: &LpSolution) -> Self {
-        Self { basis: solution.basis.clone() }
-    }
 }
 
 /// Tuning knobs for the simplex solver.
@@ -107,209 +74,6 @@ pub fn solve_with(problem: &LpProblem, options: &SimplexOptions) -> Result<LpSol
     Tableau::build(problem, options).solve(problem)
 }
 
-/// Solves `problem`, optionally warm-started from a previously optimal basis.
-///
-/// If `warm` is given and its basis can be installed (right cardinality,
-/// non-singular, primal feasible), phase 1 is skipped entirely and the solver
-/// proceeds straight to phase-2 pivots from that basis; re-solving a problem
-/// from its own optimal basis performs no phase-2 pivots at all.  Any basis
-/// that does not fit is ignored and the ordinary two-phase solve runs
-/// instead, so the warm start can never change the reported status.
-pub fn solve_with_warm_start(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> Result<LpSolution, LpError> {
-    problem.validate()?;
-    let mut wasted = 0;
-    if let Some(ws) = warm {
-        let probe = Tableau::build(problem, options).solve_warm(problem, ws)?;
-        match probe.solution {
-            Some(solution) => return Ok(solution),
-            // The rejected installation's eliminations are real work; carry
-            // them into the cold solve's account.
-            None => wasted = probe.wasted_installs,
-        }
-    }
-    let mut solution = Tableau::build(problem, options).solve(problem)?;
-    solution.installs += wasted;
-    Ok(solution)
-}
-
-/// What a warm-start-only attempt ([`try_warm_solve`]) did.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmProbe {
-    /// The warm solution, or `None` when the basis could not be installed
-    /// (wrong cardinality, artificial columns, singular, or primal
-    /// infeasible) or the seeded phase 2 ran out of its pivot budget.
-    pub solution: Option<LpSolution>,
-    /// Gauss–Jordan eliminations performed before the attempt was rejected
-    /// (0 when `solution` is `Some` — a kept solution counts them in its own
-    /// [`installs`](LpSolution::installs)).
-    pub wasted_installs: usize,
-    /// Simplex iterations performed before the attempt was rejected (only
-    /// non-zero when the seeded phase 2 hit the iteration limit; a kept
-    /// solution counts its iterations in [`pivots`](LpSolution::pivots)).
-    pub wasted_pivots: usize,
-}
-
-/// Attempts *only* the warm-started solve, without the cold fallback.
-///
-/// The caller decides what to do on rejection — typically run the cold path
-/// and account for the wasted work via [`WarmProbe::wasted_installs`] /
-/// [`WarmProbe::wasted_pivots`], which is what the engine's warm-start
-/// statistics need.  A seeded phase 2 that exceeds the configured iteration
-/// limit is reported as a rejection (the cold path may well fit the same
-/// budget), not as an error.
-pub fn try_warm_solve(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-    warm: &WarmStart,
-) -> Result<WarmProbe, LpError> {
-    problem.validate()?;
-    Tableau::build(problem, options).solve_warm(problem, warm)
-}
-
-/// Attempts a **dual-simplex** solve from a basis that may be primal
-/// infeasible, without the cold fallback.
-///
-/// The primal warm start ([`try_warm_solve`]) rejects any basis whose basic
-/// solution violates a constraint — which is exactly what happens to a
-/// recorded optimal basis after the problem's coefficients are perturbed.
-/// Such a basis usually remains *dual* feasible (no non-basic column has a
-/// positive reduced cost), and the dual simplex restores primal feasibility
-/// from it directly: pick the most infeasible row, pivot on the column the
-/// dual ratio test selects, repeat.  A final primal phase 2 then mops up
-/// (it performs zero pivots when the dual run terminated at an optimum).
-///
-/// The probe is rejected — with the same [`WarmProbe`] accounting as the
-/// primal path — when the basis cannot be installed at all, is not dual
-/// feasible, the dual ratio test finds an empty column (the perturbed
-/// problem is primal infeasible from this basis), or the pivot budget runs
-/// out.  Rejection is never an error: the caller falls back to a cold solve.
-pub fn try_dual_warm_solve(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-    warm: &WarmStart,
-) -> Result<WarmProbe, LpError> {
-    problem.validate()?;
-    Tableau::build(problem, options).solve_dual_warm(problem, warm)
-}
-
-/// An optimal solution deterministically re-derived from its basis by
-/// [`resolve_from_basis`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BasisResolution {
-    /// The optimal solution (structural variables).
-    pub x: Vec<f64>,
-    /// Objective value of `x` under the problem's own sense.
-    pub objective: f64,
-    /// Gauss–Jordan eliminations spent installing bases.
-    pub installs: usize,
-    /// The solution-uniqueness certificate.
-    ///
-    /// `true` iff every non-basic structural/slack column with a ~zero
-    /// reduced cost provably moves only slack variables — so the optimal
-    /// *activity vector* `x` is unique even when several bases represent it.
-    /// When it holds, `x` is re-derived through the **canonical vertex
-    /// basis** (positive variables first, then index order), which depends
-    /// only on `(problem, x)`: any simplex path that reaches the optimum —
-    /// warm-started from an arbitrary seed or cold two-phase — resolves to
-    /// bit-identical numbers.
-    ///
-    /// The check is deliberately conservative: a zero-reduced-cost column
-    /// whose ratio test is blocked at a degenerate zero step is still
-    /// treated as potentially moving `x` (a degenerate pivot could unblock
-    /// it at a neighbouring basis of the same vertex), so alternative optima
-    /// hidden behind degeneracy refuse certification rather than falsely
-    /// certify.  At nondegenerate optimal bases the classification is exact.
-    pub certified: bool,
-}
-
-/// Deterministically re-derives an optimal solution from a final basis.
-///
-/// The basis (a *set* — it is sorted before installation) is installed into
-/// a fresh tableau by Gauss–Jordan elimination with a fixed pivot-row rule,
-/// so the resulting `x` is a function of `(problem, basis set)` only and not
-/// of whichever pivot sequence produced the basis.  When the
-/// [`BasisResolution::certified`] uniqueness certificate holds, the numbers
-/// are additionally re-derived through the canonical *vertex* basis, making
-/// them independent even of which optimal basis the solve terminated at —
-/// the property that lets a warm-started solve return **bit-identical**
-/// numbers to the cold solve it replaces.
-///
-/// Returns `Ok(None)` when the basis cannot be installed or is not optimal
-/// for `problem` within the configured tolerance.
-pub fn resolve_from_basis(
-    problem: &LpProblem,
-    options: &SimplexOptions,
-    basis: &[usize],
-) -> Result<Option<BasisResolution>, LpError> {
-    problem.validate()?;
-    let mut sorted = basis.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != basis.len() {
-        return Ok(None);
-    }
-    let mut t = Tableau::build(problem, options);
-    if !t.install_basis(&sorted) {
-        return Ok(None);
-    }
-    let maximize = problem.sense == ObjectiveSense::Maximize;
-    let mut cost = vec![0.0; t.num_cols];
-    for (j, c) in problem.objective.iter().enumerate() {
-        cost[j] = if maximize { *c } else { -*c };
-    }
-    // The certificate margin: comfortably above the rounding error of the
-    // installation eliminations, far below any real reduced cost.
-    let margin = t.tolerance * 100.0;
-    let mut is_basic = vec![false; t.num_cols];
-    for &b in &t.basis {
-        is_basic[b] = true;
-    }
-    let mut certified = true;
-    for (j, _) in is_basic.iter().take(t.artificial_start).enumerate().filter(|(_, b)| !**b) {
-        let rc = t.reduced_cost(&cost, j);
-        if rc > t.tolerance {
-            // The basis is not optimal for this problem.
-            return Ok(None);
-        }
-        if rc > -margin && t.column_moves_x(j, margin) {
-            // A zero-reduced-cost direction that changes the activities:
-            // the optimal x is not unique, equality with the cold path
-            // cannot be certified.
-            certified = false;
-        }
-    }
-    if certified {
-        // Re-derive x through the canonical vertex basis, which depends
-        // only on (problem, x): positive variables first, then index order.
-        let positive: Vec<usize> = t
-            .rows
-            .iter()
-            .zip(&t.basis)
-            .filter(|(row, _)| row[t.num_cols] > margin)
-            .map(|(_, &b)| b)
-            .collect();
-        let mut canonical = Tableau::build(problem, options);
-        if canonical.install_vertex_basis(&positive) {
-            let x = canonical.extract_solution();
-            let objective = problem.objective_value(&x);
-            return Ok(Some(BasisResolution {
-                x,
-                objective,
-                installs: t.installs + canonical.installs,
-                certified: true,
-            }));
-        }
-        certified = false;
-    }
-    let x = t.extract_solution();
-    let objective = problem.objective_value(&x);
-    Ok(Some(BasisResolution { x, objective, installs: t.installs, certified }))
-}
-
 /// The dense simplex tableau together with its basis bookkeeping.
 struct Tableau {
     /// `rows[r]` has `num_cols + 1` entries; the last one is the RHS.
@@ -326,7 +90,6 @@ struct Tableau {
     max_pivots: usize,
     bland_after: usize,
     pivots: usize,
-    installs: usize,
 }
 
 impl Tableau {
@@ -410,7 +173,6 @@ impl Tableau {
             max_pivots: if options.max_pivots == 0 { auto_max } else { options.max_pivots },
             bland_after: if options.bland_after == 0 { auto_bland } else { options.bland_after },
             pivots: 0,
-            installs: 0,
         }
     }
 
@@ -436,8 +198,6 @@ impl Tableau {
                     x: vec![],
                     objective: f64::NAN,
                     pivots: self.pivots,
-                    installs: self.installs,
-                    basis: vec![],
                 });
             }
             self.drive_out_artificials();
@@ -445,301 +205,8 @@ impl Tableau {
         self.phase2(problem)
     }
 
-    /// Attempts a warm-started solve from the given basis.
-    ///
-    /// A rejected attempt (the caller falls back to the cold two-phase path
-    /// on a fresh tableau) still reports the eliminations spent on the
-    /// failed installation and any iterations burnt before hitting the
-    /// pivot budget.
-    fn solve_warm(mut self, problem: &LpProblem, warm: &WarmStart) -> Result<WarmProbe, LpError> {
-        if !self.install_basis(&warm.basis) {
-            return Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: 0,
-            });
-        }
-        match self.phase2(problem) {
-            Ok(solution) => {
-                Ok(WarmProbe { solution: Some(solution), wasted_installs: 0, wasted_pivots: 0 })
-            }
-            // Burning through the pivot budget rejects the seed but must not
-            // lose the accounting of the work already performed.
-            Err(LpError::IterationLimit { iterations }) => Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: iterations,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Attempts a dual-simplex solve from a possibly primal-infeasible basis.
-    ///
-    /// See [`try_dual_warm_solve`] for the contract; like [`solve_warm`], a
-    /// rejected attempt reports its wasted installation eliminations and
-    /// pivots instead of erroring.
-    fn solve_dual_warm(
-        mut self,
-        problem: &LpProblem,
-        warm: &WarmStart,
-    ) -> Result<WarmProbe, LpError> {
-        if !self.install_basis_columns(&warm.basis) {
-            return Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: 0,
-            });
-        }
-        let mut cost = vec![0.0; self.num_cols];
-        let maximize = problem.sense == ObjectiveSense::Maximize;
-        for (j, c) in problem.objective.iter().enumerate() {
-            cost[j] = if maximize { *c } else { -*c };
-        }
-        // The dual method is only sound from a dual-feasible start: every
-        // non-basic structural/slack column must have a non-positive reduced
-        // cost (up to the rounding the installation eliminations introduce).
-        let margin = self.tolerance * 100.0;
-        let dual_feasible = (0..self.artificial_start)
-            .filter(|j| !self.basis.contains(j))
-            .all(|j| self.reduced_cost(&cost, j) <= margin);
-        if !dual_feasible {
-            return Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: 0,
-            });
-        }
-        match self.dual_optimize(&cost) {
-            // Primal feasibility restored; phase 2 mops up any residual
-            // reduced-cost slack (zero pivots when the dual run terminated
-            // at an optimum) and extracts the solution.
-            Ok(true) => match self.phase2(problem) {
-                Ok(solution) => {
-                    Ok(WarmProbe { solution: Some(solution), wasted_installs: 0, wasted_pivots: 0 })
-                }
-                Err(LpError::IterationLimit { iterations }) => Ok(WarmProbe {
-                    solution: None,
-                    wasted_installs: self.installs,
-                    wasted_pivots: iterations,
-                }),
-                Err(e) => Err(e),
-            },
-            // The dual ratio test ran dry on an infeasible row: from this
-            // basis the problem is primal infeasible, so the seed is useless.
-            Ok(false) => Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: self.pivots,
-            }),
-            Err(LpError::IterationLimit { iterations }) => Ok(WarmProbe {
-                solution: None,
-                wasted_installs: self.installs,
-                wasted_pivots: iterations,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The dual simplex loop: repeatedly pivots the most primal-infeasible
-    /// row against the column chosen by the dual ratio test, preserving dual
-    /// feasibility while driving every RHS non-negative.
-    ///
-    /// Returns `Ok(true)` when primal feasibility is restored (the basis is
-    /// then optimal up to tolerance), `Ok(false)` when an infeasible row has
-    /// no eligible entering column — the standard dual-simplex proof of
-    /// primal infeasibility from this basis.
-    fn dual_optimize(&mut self, cost: &[f64]) -> Result<bool, LpError> {
-        let mut local_pivots = 0usize;
-        loop {
-            if local_pivots > self.max_pivots {
-                return Err(LpError::IterationLimit { iterations: self.pivots });
-            }
-            // Leaving row: most negative RHS; ties towards the smallest
-            // basis index, mirroring the primal ratio test's determinism.
-            let mut leaving: Option<(usize, f64)> = None;
-            for (r, row) in self.rows.iter().enumerate() {
-                let rhs = row[self.num_cols];
-                if rhs < -self.tolerance {
-                    let better = match leaving {
-                        None => true,
-                        Some((best_r, best_rhs)) => {
-                            rhs < best_rhs - self.tolerance
-                                || (rhs < best_rhs + self.tolerance
-                                    && self.basis[r] < self.basis[best_r])
-                        }
-                    };
-                    if better {
-                        leaving = Some((r, rhs));
-                    }
-                }
-            }
-            let Some((r, _)) = leaving else {
-                return Ok(true);
-            };
-            // Entering column: among non-basic structural/slack columns with
-            // a negative entry in the leaving row, minimise the dual ratio
-            // |reduced cost / entry| — ascending scan keeps ties at the
-            // smallest column index.
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..self.artificial_start {
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let a = self.rows[r][j];
-                if a < -self.tolerance {
-                    let ratio = self.reduced_cost(cost, j) / a;
-                    let better = match entering {
-                        None => true,
-                        Some((_, best)) => ratio < best - self.tolerance,
-                    };
-                    if better {
-                        entering = Some((j, ratio));
-                    }
-                }
-            }
-            let Some((j, _)) = entering else {
-                return Ok(false);
-            };
-            self.pivot(r, j);
-            local_pivots += 1;
-            self.pivots += 1;
-        }
-    }
-
-    /// Pivots the tableau into the given basis via Gauss–Jordan elimination.
-    ///
-    /// Returns `false` (leaving the tableau in an unusable state) if the
-    /// basis has the wrong cardinality, touches artificial columns, is
-    /// singular, or yields a primal-infeasible basic solution.
-    fn install_basis(&mut self, basis: &[usize]) -> bool {
-        if !self.install_basis_columns(basis) {
-            return false;
-        }
-        // The basic solution must be primal feasible to skip phase 1.
-        let tol = self.feasibility_tolerance();
-        self.rows.iter().all(|row| row[self.num_cols] >= -tol)
-    }
-
-    /// The structural part of [`install_basis`]: pivots the tableau into the
-    /// given basis without checking primal feasibility of the result.
-    ///
-    /// The dual simplex starts from exactly the bases the feasibility check
-    /// rejects, so it installs through this variant and then restores
-    /// feasibility by dual pivots instead of refusing.
-    fn install_basis_columns(&mut self, basis: &[usize]) -> bool {
-        let m = self.rows.len();
-        if basis.len() != m {
-            return false;
-        }
-        let mut chosen = vec![false; self.num_cols];
-        for &j in basis {
-            if j >= self.artificial_start || chosen[j] {
-                return false;
-            }
-            chosen[j] = true;
-        }
-        let mut row_assigned = vec![false; m];
-        for &j in basis {
-            // Pick the best remaining pivot row for column j (largest
-            // magnitude, for numerical stability).
-            let pivot_row = (0..m)
-                .filter(|&r| !row_assigned[r] && self.rows[r][j].abs() > self.tolerance)
-                .max_by(|&a, &b| {
-                    self.rows[a][j]
-                        .abs()
-                        .partial_cmp(&self.rows[b][j].abs())
-                        .expect("tableau entries are finite")
-                });
-            let Some(r) = pivot_row else {
-                return false; // singular basis
-            };
-            self.pivot(r, j);
-            self.installs += 1;
-            row_assigned[r] = true;
-        }
-        true
-    }
-
-    /// Whether entering column `j` could change any structural variable —
-    /// the *conservative* direction: `true` unless the column provably moves
-    /// only slack variables.
-    ///
-    /// The simplex direction of `j` moves `x_j` itself (if structural) and
-    /// every basic variable in a row where `j` has a significant entry.  A
-    /// column whose ratio test is bound at a degenerate zero step cannot
-    /// move anything *from this basis*, but a degenerate pivot may unblock
-    /// it at a neighbouring basis of the same vertex, so degenerate blocking
-    /// is deliberately **not** treated as immobility — doing so certifies
-    /// optima whose alternative-optimum directions are merely blocked here
-    /// (e.g. `max x1+x2+x3` s.t. `x1+x2+x3 ≤ 1, x2 ≤ x3, x3 ≤ x2`, whose
-    /// optimal face is the segment `(1−2t, t, t)`).
-    fn column_moves_x(&self, j: usize, margin: f64) -> bool {
-        if j < self.num_structural {
-            return true;
-        }
-        self.rows
-            .iter()
-            .zip(&self.basis)
-            .any(|(row, &b)| row[j].abs() > margin && b < self.num_structural)
-    }
-
-    /// Installs the *canonical vertex basis*: the deterministic completion
-    /// of the given positive (basic, non-zero) columns by the lowest-index
-    /// independent structural/slack columns.
-    ///
-    /// The candidate order — sorted positive columns first, then all other
-    /// non-artificial columns ascending — is a function of the vertex only,
-    /// not of the basis that discovered it.  Returns `false` when the
-    /// candidates cannot span all rows (only possible with equality
-    /// constraints, whose rows have no slack column).
-    fn install_vertex_basis(&mut self, positive: &[usize]) -> bool {
-        let m = self.rows.len();
-        let mut candidates: Vec<usize> = positive.to_vec();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.len() > m || candidates.iter().any(|&j| j >= self.artificial_start) {
-            return false;
-        }
-        let positive_count = candidates.len();
-        let mut is_positive = vec![false; self.num_cols];
-        for &j in &candidates {
-            is_positive[j] = true;
-        }
-        candidates.extend((0..self.artificial_start).filter(|&j| !is_positive[j]));
-
-        let mut row_assigned = vec![false; m];
-        let mut assigned = 0usize;
-        for (rank, &j) in candidates.iter().enumerate() {
-            if assigned == m {
-                break;
-            }
-            let pivot_row = (0..m)
-                .filter(|&r| !row_assigned[r] && self.rows[r][j].abs() > self.tolerance)
-                .max_by(|&a, &b| {
-                    self.rows[a][j]
-                        .abs()
-                        .partial_cmp(&self.rows[b][j].abs())
-                        .expect("tableau entries are finite")
-                });
-            match pivot_row {
-                Some(r) => {
-                    self.pivot(r, j);
-                    self.installs += 1;
-                    row_assigned[r] = true;
-                    assigned += 1;
-                }
-                // A dependent *positive* column contradicts the vertex
-                // (its value could not be non-zero): bail out.
-                None if rank < positive_count => return false,
-                None => {}
-            }
-        }
-        assigned == m
-    }
-
     /// Phase 2 from the current (feasible) basis: optimise the user
-    /// objective, extract the solution and the final basis.
+    /// objective and extract the solution.
     fn phase2(&mut self, problem: &LpProblem) -> Result<LpSolution, LpError> {
         let mut cost = vec![0.0; self.num_cols];
         let maximize = problem.sense == ObjectiveSense::Maximize;
@@ -753,21 +220,12 @@ impl Tableau {
                 x: vec![],
                 objective: if maximize { f64::INFINITY } else { f64::NEG_INFINITY },
                 pivots: self.pivots,
-                installs: self.installs,
-                basis: vec![],
             });
         }
 
         let x = self.extract_solution();
         let objective = problem.objective_value(&x);
-        Ok(LpSolution {
-            status: LpStatus::Optimal,
-            x,
-            objective,
-            pivots: self.pivots,
-            installs: self.installs,
-            basis: self.basis.clone(),
-        })
+        Ok(LpSolution { status: LpStatus::Optimal, x, objective, pivots: self.pivots })
     }
 
     /// A slightly looser tolerance for the final phase-1 feasibility decision;
@@ -1135,335 +593,6 @@ mod tests {
         let sol = solve(&p).unwrap();
         assert_close(sol.objective, 4.0, 1e-7);
         assert!(p.is_feasible(&sol.x, 1e-7));
-    }
-
-    #[test]
-    fn warm_start_from_optimal_basis_skips_all_pivoting_work() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 3.0).set_objective(1, 5.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 4.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 2.0)], 12.0));
-        p.add_constraint(LpConstraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
-        let cold = solve(&p).unwrap();
-        assert_eq!(cold.status, LpStatus::Optimal);
-        assert_eq!(cold.basis.len(), 3);
-
-        let warm = WarmStart::from_solution(&cold);
-        let resolved = solve_with_warm_start(&p, &SimplexOptions::default(), Some(&warm)).unwrap();
-        assert_eq!(resolved.status, LpStatus::Optimal);
-        assert_close(resolved.objective, cold.objective, 1e-7);
-        assert_close(resolved.x[0], cold.x[0], 1e-7);
-        assert_close(resolved.x[1], cold.x[1], 1e-7);
-        // Installing the basis costs one elimination per row — counted as
-        // installs, not pivots — and phase 2 finds nothing to improve.
-        assert_eq!(resolved.pivots, 0);
-        assert_eq!(resolved.installs, 3);
-    }
-
-    #[test]
-    fn warm_start_re_solve_costs_only_the_installation() {
-        // ≥-constraints force artificial variables, so the cold solve pays a
-        // full phase 1 plus phase 2; the warm re-solve from the optimal basis
-        // pays exactly one installation elimination per row and never more
-        // than the cold solve.
-        let mut p = LpProblem::new(3, ObjectiveSense::Minimize);
-        for j in 0..3 {
-            p.set_objective(j, 1.0 + j as f64);
-            p.add_constraint(LpConstraint::ge(vec![(j, 1.0)], 1.0));
-        }
-        p.add_constraint(LpConstraint::ge(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 4.0));
-        let cold = solve(&p).unwrap();
-        assert_eq!(cold.status, LpStatus::Optimal);
-        assert!(cold.pivots >= 4, "phase 1 must have pivoted artificials out");
-        let warm = solve_with_warm_start(
-            &p,
-            &SimplexOptions::default(),
-            Some(&WarmStart::from_solution(&cold)),
-        )
-        .unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert_close(warm.objective, cold.objective, 1e-7);
-        assert_eq!(warm.pivots, 0); // no simplex iterations at all
-        assert_eq!(warm.installs, 4); // one installation elimination per row
-        assert!(warm.pivots <= cold.pivots, "warm {} vs cold {}", warm.pivots, cold.pivots);
-    }
-
-    #[test]
-    fn unusable_warm_starts_fall_back_to_the_cold_path() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0).set_objective(1, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0), (1, 1.0)], 1.0));
-        let cold = solve(&p).unwrap();
-        let bogus = [
-            WarmStart { basis: vec![] },     // wrong cardinality
-            WarmStart { basis: vec![0, 0] }, // duplicates + wrong cardinality
-            WarmStart { basis: vec![99] },   // out of range (artificial zone)
-            WarmStart { basis: vec![1] },    // valid shape, different vertex
-        ];
-        for warm in &bogus {
-            let sol = solve_with_warm_start(&p, &SimplexOptions::default(), Some(warm)).unwrap();
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.objective, cold.objective, 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_never_changes_the_reported_status() {
-        // Infeasible problem: the (shape-valid) warm basis is primal
-        // infeasible, so the solver must fall back and still say Infeasible.
-        let mut p = LpProblem::new(1, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::ge(vec![(0, 1.0)], 2.0));
-        let warm = WarmStart { basis: vec![0, 1] };
-        let sol = solve_with_warm_start(&p, &SimplexOptions::default(), Some(&warm)).unwrap();
-        assert_eq!(sol.status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn resolve_from_basis_reproduces_the_optimum() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 3.0).set_objective(1, 5.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 4.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 2.0)], 12.0));
-        p.add_constraint(LpConstraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
-        let sol = solve(&p).unwrap();
-        let res = resolve_from_basis(&p, &SimplexOptions::default(), &sol.basis)
-            .unwrap()
-            .unwrap();
-        assert_close(res.x[0], 2.0, 1e-7);
-        assert_close(res.x[1], 6.0, 1e-7);
-        assert_close(res.objective, 36.0, 1e-7);
-        // One installation elimination per row, twice: the optimality check
-        // installs the given basis, the certified path re-installs the
-        // canonical vertex basis.
-        assert_eq!(res.installs, 6);
-        assert!(res.certified, "a nondegenerate unique optimum must be certified");
-        // The resolution is a pure function of the basis *set*: any
-        // permutation of the basis produces bit-identical numbers.
-        let mut reversed = sol.basis.clone();
-        reversed.reverse();
-        let again = resolve_from_basis(&p, &SimplexOptions::default(), &reversed)
-            .unwrap()
-            .unwrap();
-        assert_eq!(res.x, again.x);
-    }
-
-    #[test]
-    fn resolve_from_basis_rejects_non_optimal_and_malformed_bases() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 1.0)], 1.0));
-        let opts = SimplexOptions::default();
-        // The all-slack basis (x = 0) is feasible but not optimal.
-        assert_eq!(resolve_from_basis(&p, &opts, &[2, 3]).unwrap(), None);
-        // Wrong cardinality and duplicates are rejected.
-        assert_eq!(resolve_from_basis(&p, &opts, &[0]).unwrap(), None);
-        assert_eq!(resolve_from_basis(&p, &opts, &[0, 0]).unwrap(), None);
-        // The optimal basis resolves.
-        let sol = solve(&p).unwrap();
-        assert!(resolve_from_basis(&p, &opts, &sol.basis).unwrap().is_some());
-    }
-
-    #[test]
-    fn certificate_refuses_problems_with_multiple_optima() {
-        // max x + y subject to x + y ≤ 1: a whole edge of optima, so no
-        // basis may be certified unique.
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0).set_objective(1, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0), (1, 1.0)], 1.0));
-        let sol = solve(&p).unwrap();
-        let res = resolve_from_basis(&p, &SimplexOptions::default(), &sol.basis)
-            .unwrap()
-            .unwrap();
-        assert!(!res.certified, "an optimal edge must not be certified unique");
-    }
-
-    #[test]
-    fn certificate_accepts_degenerate_optima_with_a_unique_x() {
-        // x ≤ 1 twice: at the optimum one slack is basic at value 0 (a
-        // degenerate basis), but the optimal *activity vector* x = 1 is
-        // unique — which is what the certificate is about.  Every optimal
-        // basis must resolve to bit-identical numbers through the canonical
-        // vertex basis.
-        let mut p = LpProblem::new(1, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        let opts = SimplexOptions::default();
-        let sol = solve(&p).unwrap();
-        let res = resolve_from_basis(&p, &opts, &sol.basis).unwrap().unwrap();
-        assert_close(res.x[0], 1.0, 1e-9);
-        assert!(res.certified, "a degenerate optimum with a unique x must be certified");
-        // The two optimal bases {x, s1} and {x, s2} represent the same
-        // vertex; both must resolve to the same bits.
-        let alt = resolve_from_basis(&p, &opts, &[0, 1]).unwrap().unwrap();
-        let alt2 = resolve_from_basis(&p, &opts, &[0, 2]).unwrap().unwrap();
-        assert_eq!(alt.x[0].to_bits(), alt2.x[0].to_bits());
-        assert_eq!(alt.x[0].to_bits(), res.x[0].to_bits());
-    }
-
-    #[test]
-    fn certificate_refuses_alternative_optima_hidden_behind_degeneracy() {
-        // max x1+x2+x3  s.t.  x1+x2+x3 ≤ 1, x2 − x3 ≤ 0, x3 − x2 ≤ 0:
-        // the optimal face is the segment (1−2t, t, t), t ∈ [0, 1/2], so x
-        // is NOT unique — but at the vertex (1,0,0) the moves towards
-        // (0,1/2,1/2) are blocked behind degenerate zero-step ratio tests.
-        // Treating "degenerate-blocked" as "immobile" would falsely certify
-        // this basis; the conservative check must refuse it.
-        let mut p = LpProblem::new(3, ObjectiveSense::Maximize);
-        for j in 0..3 {
-            p.set_objective(j, 1.0);
-        }
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 1.0), (2, -1.0)], 0.0));
-        p.add_constraint(LpConstraint::le(vec![(1, -1.0), (2, 1.0)], 0.0));
-        let opts = SimplexOptions::default();
-        // Basis {x1, s2, s3} represents the optimal vertex (1, 0, 0).
-        let res = resolve_from_basis(&p, &opts, &[0, 4, 5]).unwrap().unwrap();
-        assert_close(res.x[0], 1.0, 1e-9);
-        assert!(
-            !res.certified,
-            "an optimum with alternative optima behind degenerate pivots must not be certified"
-        );
-    }
-
-    #[test]
-    fn try_warm_solve_reports_uninstallable_bases_as_none() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0).set_objective(1, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0), (1, 1.0)], 1.0));
-        let opts = SimplexOptions::default();
-        // Shape-invalid bases are rejected before any elimination runs.
-        let probe = try_warm_solve(&p, &opts, &WarmStart { basis: vec![] }).unwrap();
-        assert!(probe.solution.is_none());
-        assert_eq!(probe.wasted_installs, 0);
-        assert!(try_warm_solve(&p, &opts, &WarmStart { basis: vec![99] })
-            .unwrap()
-            .solution
-            .is_none());
-        let cold = solve(&p).unwrap();
-        let probe = try_warm_solve(&p, &opts, &WarmStart::from_solution(&cold)).unwrap();
-        assert_eq!(probe.wasted_installs, 0);
-        let warm = probe.solution.unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert_close(warm.objective, cold.objective, 1e-9);
-    }
-
-    #[test]
-    fn rejected_installations_report_their_wasted_eliminations() {
-        // A shape-valid basis that is primal infeasible here: every install
-        // elimination runs before the feasibility check rejects it, and the
-        // probe must own up to that work.
-        let mut p = LpProblem::new(1, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::ge(vec![(0, 1.0)], 2.0));
-        let probe =
-            try_warm_solve(&p, &SimplexOptions::default(), &WarmStart { basis: vec![0, 1] })
-                .unwrap();
-        assert!(probe.solution.is_none());
-        assert!(probe.wasted_installs > 0);
-        // The cold fallback of the convenience API carries those installs.
-        let sol = solve_with_warm_start(
-            &p,
-            &SimplexOptions::default(),
-            Some(&WarmStart { basis: vec![0, 1] }),
-        )
-        .unwrap();
-        assert_eq!(sol.status, LpStatus::Infeasible);
-        assert!(sol.installs > 0);
-    }
-
-    #[test]
-    fn dual_warm_solve_recovers_from_a_primal_infeasible_basis() {
-        // max 3x + 5y  s.t.  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 — then tighten the
-        // first constraint to x ≤ 1.  At the old optimum (2, 6) that row's
-        // slack is basic at 4 − 2 = 2; re-installed on the tightened problem
-        // it sits at 1 − 2 = −1, so the primal warm start must reject the
-        // basis while the dual simplex repairs it.
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 3.0).set_objective(1, 5.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 4.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 2.0)], 12.0));
-        p.add_constraint(LpConstraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
-        let cold = solve(&p).unwrap();
-        let warm = WarmStart::from_solution(&cold);
-
-        let mut tightened = LpProblem::new(2, ObjectiveSense::Maximize);
-        tightened.set_objective(0, 3.0).set_objective(1, 5.0);
-        tightened.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        tightened.add_constraint(LpConstraint::le(vec![(1, 2.0)], 12.0));
-        tightened.add_constraint(LpConstraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
-        let opts = SimplexOptions::default();
-        let primal_probe = try_warm_solve(&tightened, &opts, &warm).unwrap();
-        assert!(primal_probe.solution.is_none(), "primal install must reject infeasible bases");
-
-        let dual_probe = try_dual_warm_solve(&tightened, &opts, &warm).unwrap();
-        let dual = dual_probe.solution.expect("dual simplex repairs the basis");
-        assert_eq!(dual.status, LpStatus::Optimal);
-        let reference = solve(&tightened).unwrap();
-        assert_close(dual.objective, reference.objective, 1e-7);
-        assert_close(dual.x[0], reference.x[0], 1e-7);
-        assert_close(dual.x[1], reference.x[1], 1e-7);
-        assert!(dual.pivots >= 1, "repair requires at least one dual pivot");
-    }
-
-    #[test]
-    fn dual_warm_solve_on_the_unperturbed_problem_pivots_zero_times() {
-        // A recorded optimal basis of the very same problem is both primal
-        // and dual feasible: the dual loop finds nothing to repair and
-        // phase 2 nothing to improve.
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 3.0).set_objective(1, 5.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 4.0));
-        p.add_constraint(LpConstraint::le(vec![(1, 2.0)], 12.0));
-        p.add_constraint(LpConstraint::le(vec![(0, 3.0), (1, 2.0)], 18.0));
-        let cold = solve(&p).unwrap();
-        let probe =
-            try_dual_warm_solve(&p, &SimplexOptions::default(), &WarmStart::from_solution(&cold))
-                .unwrap();
-        let sol = probe.solution.unwrap();
-        assert_eq!(sol.pivots, 0);
-        assert_close(sol.objective, cold.objective, 1e-9);
-    }
-
-    #[test]
-    fn dual_warm_solve_rejects_dual_infeasible_and_malformed_bases() {
-        let mut p = LpProblem::new(2, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0).set_objective(1, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0), (1, 1.0)], 1.0));
-        let opts = SimplexOptions::default();
-        // Shape-invalid bases reject before any elimination.
-        let probe = try_dual_warm_solve(&p, &opts, &WarmStart { basis: vec![] }).unwrap();
-        assert!(probe.solution.is_none());
-        assert_eq!(probe.wasted_installs, 0);
-        assert!(try_dual_warm_solve(&p, &opts, &WarmStart { basis: vec![99] })
-            .unwrap()
-            .solution
-            .is_none());
-        // The all-slack basis (x = 0) is primal feasible but dual infeasible
-        // (both structural columns have reduced cost +1): the dual method
-        // does not apply and the probe must say so instead of pivoting.
-        let probe = try_dual_warm_solve(&p, &opts, &WarmStart { basis: vec![2] }).unwrap();
-        assert!(probe.solution.is_none());
-        assert!(probe.wasted_installs > 0);
-    }
-
-    #[test]
-    fn dual_warm_solve_reports_infeasible_problems_as_rejections() {
-        // x ≤ 1 and x ≥ 2: from the basis {x, surplus} the dual ratio test
-        // runs dry, which must come back as a rejection (cold path then
-        // reports Infeasible), never a panic or a bogus solution.
-        let mut p = LpProblem::new(1, ObjectiveSense::Maximize);
-        p.set_objective(0, 1.0);
-        p.add_constraint(LpConstraint::le(vec![(0, 1.0)], 1.0));
-        p.add_constraint(LpConstraint::ge(vec![(0, 1.0)], 2.0));
-        let probe =
-            try_dual_warm_solve(&p, &SimplexOptions::default(), &WarmStart { basis: vec![0, 1] })
-                .unwrap();
-        assert!(probe.solution.is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! The service is deliberately generic: a request is any `FnOnce() -> R`
 //! closure, so this crate (which cannot know about engines or simulators)
 //! stays dependency-free while `mmlp-algorithms` admits batched solves with
-//! a shared `ClassBasisCache` and `mmlp-distsim` admits simulator epoch
+//! a shared `ClassSolutionMemo` and `mmlp-distsim` admits simulator epoch
 //! runs.  Because a request runs exactly the same call it would run solo —
 //! sequenced, never altered — every result through the service is
 //! bit-identical to an isolated run; the conformance suite asserts that.
@@ -145,7 +145,7 @@ pub struct TenantCounters {
     pub retried: u64,
     /// Cross-run cache hits attributed to this tenant's requests, recorded
     /// by domain adapters via [`ServiceMetrics::record_cache_hits`] (the
-    /// engine adapter records accepted shared-`ClassBasisCache` seeds).
+    /// engine adapter records hits in the shared `ClassSolutionMemo`).
     pub cache_hits: u64,
 }
 

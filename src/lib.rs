@@ -127,10 +127,10 @@ pub mod prelude {
         safe_activity_from_view, safe_algorithm, serve_engine_worker_if_requested, solve_local_lps,
         solve_local_lps_incremental, solve_local_lps_incremental_on, solve_local_lps_on,
         solve_local_lps_reusing, uniform_baseline, views_direct, AlgorithmComparison,
-        ClassBasisCache, DeltaError, EngineError, EngineService, IncrementalRun, InstanceDelta,
+        ClassSolutionMemo, DeltaError, EngineError, EngineService, IncrementalRun, InstanceDelta,
         LocalAveragingOptions, LocalAveragingResult, LocalLpBatch, LocalLpOptions,
-        LocalRuleProgram, LocalRun, RegisteredBase, SolveMode, SolveStats, WarmStartPolicy,
-        WeightEdit, WeightKind, WireRule, SAFE_HORIZON,
+        LocalRuleProgram, LocalRun, RegisteredBase, SolveMode, SolveStats, WeightEdit, WeightKind,
+        WireRule, SAFE_HORIZON,
     };
     pub use crate::core::{
         bounds, canonical_form, canonical_key, quantise_weight, quasi_canonical_form, AgentId,
@@ -153,9 +153,7 @@ pub mod prelude {
         SensorNetworkConfig, SensorNetworkInstance, SkewedBipartiteConfig,
     };
     pub use crate::lp::{
-        solve_maxmin, solve_maxmin_dual_resumed, solve_maxmin_resumed, solve_maxmin_seeded,
-        solve_maxmin_warm, solve_maxmin_with, CertifiedInterval, LpProblem, LpStatus,
-        SeededSolveReport, SimplexOptions, WarmStart,
+        solve_maxmin, solve_maxmin_with, CertifiedInterval, LpProblem, LpStatus, SimplexOptions,
     };
     pub use crate::parallel::{
         backend_map, par_map, par_map_with, probe_worker, BackendKind, DriverMode, FaultPlan,

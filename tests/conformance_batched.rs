@@ -135,14 +135,24 @@ fn assert_lps_built_bounds(label: &str, stats: &SolveStats) {
     );
 }
 
+/// The class solutions of a batch as bit patterns, for exact comparison.
+fn solution_bits(batch: &LocalLpBatch) -> Vec<Vec<u64>> {
+    batch
+        .class_solutions
+        .iter()
+        .map(|x| x.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
 /// The full execution matrix of the engine: batched (the reference), naive
 /// per-agent, every backend at ≥2 shard counts — including the loopback
 /// transport (full wire format in memory), the subprocess backend (real
-/// worker processes) and the overlapped driver — intra-run warm-start
-/// chaining, and cross-run basis-cache reuse: all bit-identical, with
-/// identical class and dedup counts, on every generator, seed and radius.
+/// worker processes) and the overlapped driver — and re-solves from a full
+/// and a partial solution memo: all bit-identical (solutions, classes,
+/// class keys and class solutions), with identical class and dedup counts,
+/// on every generator, seed and radius.
 #[test]
-fn backends_shard_counts_and_warm_starts_are_bit_identical() {
+fn backends_shard_counts_and_memo_re_solves_are_bit_identical() {
     // One pooled subprocess backend per dispatch mode for the whole matrix
     // (workers persist across runs).  Where the sandbox cannot spawn
     // processes, the capability probe falls back to the loopback transport
@@ -166,6 +176,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     reference.local_x, naive.local_x,
                     "batched vs naive on {name}, seed {seed}, R={radius}"
                 );
+                assert_eq!(solution_bits(&reference), solution_bits(&naive));
 
                 for backend in [
                     BackendKind::Sequential,
@@ -185,6 +196,7 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_eq!(reference.balls, sharded.balls);
                     assert_eq!(reference.class_of_ball, sharded.class_of_ball);
                     assert_eq!(reference.class_keys, sharded.class_keys);
+                    assert_eq!(solution_bits(&reference), solution_bits(&sharded));
                     assert_eq!(
                         reference.stats.distinct_presentations,
                         sharded.stats.distinct_presentations
@@ -213,7 +225,11 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_eq!(reference.balls, remote.balls);
                     assert_eq!(reference.class_of_ball, remote.class_of_ball);
                     assert_eq!(reference.class_keys, remote.class_keys);
-                    assert_eq!(reference.class_bases, remote.class_bases);
+                    assert_eq!(
+                        solution_bits(&reference),
+                        solution_bits(&remote),
+                        "{label} class solutions on {name}, seed {seed}, R={radius}"
+                    );
                     assert_eq!(
                         reference.stats.distinct_presentations,
                         remote.stats.distinct_presentations
@@ -223,61 +239,70 @@ fn backends_shard_counts_and_warm_starts_are_bit_identical() {
                     assert_lps_built_bounds(&format!("{label} on {name}"), &remote.stats);
                 }
 
-                let warm =
-                    solve_local_lps(&inst, &LocalLpOptions::new(radius).with_warm_start()).unwrap();
-                assert_eq!(
-                    reference.local_x, warm.local_x,
-                    "warm-start chaining on {name}, seed {seed}, R={radius}"
-                );
-
-                let reused = solve_local_lps_reusing(
-                    &inst,
-                    &LocalLpOptions::new(radius).with_backend(BackendKind::Sharded { shards: 2 }),
-                    &reference.basis_cache(),
-                )
-                .unwrap();
-                assert_eq!(
-                    reference.local_x, reused.local_x,
-                    "basis-cache reuse on {name}, seed {seed}, R={radius}"
-                );
-                // An accepted seeded solve may terminate at a different (but
-                // equivalent) optimal basis — the certificate pins the
-                // activity vector, not the basis — so only the shape of the
-                // recorded bases is compared.
-                assert_eq!(reference.class_bases.len(), reused.class_bases.len());
+                // A full memo answers every class host-side; a partial one
+                // (every other class) ships only the misses, here through
+                // the wire format.
+                let simplex = SimplexOptions::default();
+                let full = reference.solution_memo(&simplex);
+                let mut partial = ClassSolutionMemo::new();
+                for (key, x) in
+                    reference.class_keys.iter().zip(&reference.class_solutions).step_by(2)
+                {
+                    partial.install(key.clone(), &simplex, x.clone());
+                }
+                for (label, memo, backend) in [
+                    ("full memo", &full, BackendKind::Sharded { shards: 2 }),
+                    ("partial memo", &partial, BackendKind::Loopback { shards: 2 }),
+                ] {
+                    let reused = solve_local_lps_reusing(
+                        &inst,
+                        &LocalLpOptions::new(radius).with_backend(backend),
+                        memo,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        reference.local_x, reused.local_x,
+                        "{label} on {name}, seed {seed}, R={radius}"
+                    );
+                    assert_eq!(reference.class_of_ball, reused.class_of_ball);
+                    assert_eq!(reference.class_keys, reused.class_keys);
+                    assert_eq!(solution_bits(&reference), solution_bits(&reused));
+                    assert_eq!(reused.stats.memo_hits, memo.len(), "{label} on {name}");
+                    assert!(
+                        reused.stats.lp_solves
+                            <= reused.stats.unique_classes - reused.stats.memo_hits,
+                        "{label} on {name}: only misses reach the simplex"
+                    );
+                }
             }
         }
     }
 }
 
-/// The acceptance criterion for warm-start reuse: on the 50×50 workload the
-/// cross-run basis cache must cut total pivots *strictly* — in fact an
-/// unchanged instance re-solves without a single simplex iteration, every
-/// class accepted from its own recorded basis.  (Intra-run chaining carries
-/// no such bound: a rejected seed can add iterations; only bit-identity is
-/// guaranteed for it, asserted by the matrix test above.)
+/// The acceptance criterion for the solution memo: on the 50×50 workload a
+/// re-solve from the cold batch's memo does no simplex work at all — no
+/// solve, no pivot, no installation — and returns the cold batch bit for
+/// bit.
 #[test]
-fn grid_50x50_warm_start_reuse_strictly_reduces_pivots() {
+fn grid_50x50_memo_re_solve_does_zero_simplex_work() {
     let inst = grid_instance(
         &GridConfig { side_lengths: vec![50, 50], torus: false, random_weights: false },
         &mut StdRng::seed_from_u64(0),
     );
     let options = LocalLpOptions::new(2);
     let cold = solve_local_lps(&inst, &options).unwrap();
-    let chained = solve_local_lps(&inst, &options.with_warm_start()).unwrap();
-    let reused = solve_local_lps_reusing(&inst, &options, &cold.basis_cache()).unwrap();
+    let reused =
+        solve_local_lps_reusing(&inst, &options, &cold.solution_memo(&options.simplex)).unwrap();
 
-    assert_eq!(cold.local_x, chained.local_x);
     assert_eq!(cold.local_x, reused.local_x);
-    assert!(
-        reused.stats.total_pivots < cold.stats.total_pivots,
-        "cache reuse must strictly reduce simplex iterations ({} vs {})",
-        reused.stats.total_pivots,
-        cold.stats.total_pivots
-    );
+    assert_eq!(cold.class_of_ball, reused.class_of_ball);
+    assert_eq!(cold.class_keys, reused.class_keys);
+    assert_eq!(solution_bits(&cold), solution_bits(&reused));
+    assert!(cold.stats.total_pivots > 0);
+    assert_eq!(reused.stats.lp_solves, 0);
     assert_eq!(reused.stats.total_pivots, 0, "an unchanged instance re-solves pivot-free");
-    assert_eq!(reused.stats.warm_accepted, reused.stats.warm_attempts);
-    assert_eq!(reused.stats.warm_attempts, reused.stats.unique_classes);
+    assert_eq!(reused.stats.total_installs, 0);
+    assert_eq!(reused.stats.memo_hits, reused.stats.unique_classes);
 }
 
 /// The acceptance target of the batched engine: on a 50×50 grid at `R = 2`

@@ -291,7 +291,7 @@ fn lifted_collapses_jittered_skewed_instances_by_5x() {
 }
 
 /// Lifted solves admitted through the multi-tenant [`EngineService`] — with
-/// and without the shared cross-tenant basis cache — are bit-identical to
+/// and without the shared cross-tenant solution memo — are bit-identical to
 /// the same lifted solve run solo.
 #[test]
 fn engine_service_admits_lifted_solves_bit_identically() {
@@ -316,7 +316,7 @@ fn engine_service_admits_lifted_solves_bit_identically() {
 
     let shared =
         EngineService::with_shared_cache(ServiceConfig { workers: 2, queue_capacity: 8 }, 1024);
-    let warm = shared
+    let first = shared
         .submit_solve(1, inst.clone(), options)
         .unwrap()
         .wait()
@@ -328,9 +328,10 @@ fn engine_service_admits_lifted_solves_bit_identically() {
         .wait()
         .unwrap()
         .unwrap();
-    assert_eq!(warm.local_x, solo.local_x);
+    assert_eq!(first.local_x, solo.local_x);
     assert_eq!(reuse.local_x, solo.local_x);
     assert_eq!(reuse.intervals, solo.intervals);
+    assert_eq!(reuse.stats.memo_hits, reuse.stats.unique_classes);
     shared.drain();
 }
 

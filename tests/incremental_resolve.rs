@@ -1,13 +1,10 @@
 //! Conformance suite for the incremental re-solve path.
 //!
 //! The contract under test: re-solving a registered base under a weight
-//! delta returns solutions, balls, class numbering and class keys
-//! **bit-identical** to a cold solve of the patched instance — across every
-//! backend, shard count and churn rate — while touching only the balls the
-//! delta can affect.  (Recorded bases follow the warm-reuse contract: one
-//! optimal basis per class, usable as a seed; the dual phase may record a
-//! different representative basis of the same certified-unique optimum than
-//! the cold pivot history.)
+//! delta returns solutions, balls, class numbering, class keys and class
+//! solutions **bit-identical** to a cold solve of the patched instance —
+//! across every backend, shard count and churn rate — while touching only
+//! the balls the delta can affect.
 
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
@@ -61,7 +58,13 @@ fn assert_matches_cold(run: &IncrementalRun, cold: &LocalLpBatch, label: &str) {
     assert_eq!(run.batch.balls, cold.balls, "{label}: balls diverged");
     assert_eq!(run.batch.class_of_ball, cold.class_of_ball, "{label}: classes diverged");
     assert_eq!(run.batch.class_keys, cold.class_keys, "{label}: class keys diverged");
-    assert_eq!(run.batch.class_bases.len(), cold.class_bases.len(), "{label}: class count");
+    let bits = |b: &LocalLpBatch| -> Vec<Vec<u64>> {
+        b.class_solutions
+            .iter()
+            .map(|x| x.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&run.batch), bits(cold), "{label}: class solutions diverged");
 }
 
 #[test]
@@ -82,6 +85,25 @@ fn incremental_matches_cold_across_churn_rates() {
         } else {
             assert!(run.resolve_wire_bytes > 0);
         }
+    }
+}
+
+#[test]
+fn churned_re_solve_hit_rate_stays_within_the_unit_interval() {
+    // Hits are counted over the re-presented balls only, like the cold path
+    // counts them over all balls: never more hits than balls.
+    let inst = workload();
+    let options = LocalLpOptions::new(1);
+    let base = register_base(&inst, &options, 1).unwrap();
+    for (step, count) in [1usize, 4, 12].into_iter().enumerate() {
+        let delta = churn_delta(&inst, count, 1, 600 + step as u64);
+        let run = solve_local_lps_incremental(&base, &delta).unwrap();
+        let s = &run.batch.stats;
+        assert_eq!(s.balls_enumerated, run.affected_agents, "churn {count}");
+        assert!(s.cache_hits <= s.balls_enumerated, "churn {count}: {s:?}");
+        let rate = s.cache_hit_rate();
+        assert!((0.0..=1.0).contains(&rate), "churn {count}: hit rate {rate}");
+        assert!(s.memo_hits + s.lp_solves <= s.unique_classes, "churn {count}");
     }
 }
 

@@ -2,18 +2,18 @@
 //!
 //! The service's whole contract is that multi-tenancy is *invisible* in the
 //! results: a tenant's solve admitted through [`SolveService`] — queued
-//! behind other tenants, executed on shared executors, optionally seeded
-//! from a cache another tenant warmed — must be **bit-identical** to the
+//! behind other tenants, executed on shared executors, optionally answered
+//! from a memo another tenant filled — must be **bit-identical** to the
 //! same solve run solo and cold.  No tolerances anywhere in this file.
 //!
 //! Covered:
 //!
 //! * engine solves through [`EngineService`] without sharing — bit-identical
 //!   to solo cold solves, per tenant;
-//! * engine solves **with** the shared cross-tenant [`ClassBasisCache`] —
-//!   still bit-identical (the zero-pivot exactness gate at work), with the
-//!   tenant-attributed cache-hit counters proving the sharing actually
-//!   happened;
+//! * engine solves **with** the shared cross-tenant [`ClassSolutionMemo`] —
+//!   still bit-identical (a memo hit is the solution of a bit-identical
+//!   canonical LP), with the tenant-attributed cache-hit counters proving
+//!   the sharing actually happened;
 //! * simulator epochs and engine solves admitted onto the *same* service;
 //! * typed backpressure ([`ServiceError::QueueFull`]) and post-drain
 //!   admission ([`ServiceError::Draining`]);
@@ -72,38 +72,39 @@ fn shared_cache_stays_bit_identical_and_attributes_hits_to_tenants() {
     let inst = workload(77);
     let solo = solve_local_lps(&inst, &options).unwrap();
 
-    // Tenant 1 warms the cache with a cold solve of the instance.
+    // Tenant 1 fills the memo with a cold solve of the instance.
     let first = service
         .submit_solve(1, inst.clone(), options)
         .unwrap()
         .wait()
         .unwrap()
         .unwrap();
-    assert_batches_identical("warming tenant", &first, &solo);
-    assert!(service.shared_classes() > 0, "the first solve must populate the shared cache");
+    assert_batches_identical("filling tenant", &first, &solo);
+    assert!(service.shared_classes() > 0, "the first solve must populate the shared memo");
 
-    // Tenants 2 and 3 solve the same instance: every class solve is now
-    // seeded from tenant 1's bases — and still bit-identical to the solo
-    // cold solve, because a seed is only accepted when certifiably optimal.
+    // Tenants 2 and 3 solve the same instance: every class is now answered
+    // from tenant 1's solutions — and still bit-identical to the solo cold
+    // solve, because a hit is the solution of a bit-identical canonical LP.
     for tenant in [2u64, 3] {
-        let seeded = service
+        let reused = service
             .submit_solve(tenant, inst.clone(), options)
             .unwrap()
             .wait()
             .unwrap()
             .unwrap();
-        assert_batches_identical(&format!("seeded tenant {tenant}"), &seeded, &solo);
+        assert_batches_identical(&format!("repeat tenant {tenant}"), &reused, &solo);
         assert_eq!(
-            seeded.stats.warm_accepted, seeded.stats.unique_classes,
-            "every class solve of the repeat tenant must accept its shared seed"
+            reused.stats.memo_hits, reused.stats.unique_classes,
+            "every class of the repeat tenant must be a memo hit"
         );
+        assert_eq!((reused.stats.lp_solves, reused.stats.total_pivots), (0, 0));
         assert_eq!(
             service.counters(tenant).cache_hits,
-            seeded.stats.unique_classes as u64,
-            "accepted shared seeds are booked to the tenant that benefited"
+            reused.stats.unique_classes as u64,
+            "memo hits are booked to the tenant that benefited"
         );
     }
-    assert_eq!(service.counters(1).cache_hits, 0, "the cold warming solve hit nothing");
+    assert_eq!(service.counters(1).cache_hits, 0, "the cold filling solve hit nothing");
     service.drain();
 }
 

@@ -32,6 +32,15 @@ fn reference(inst: &MaxMinInstance) -> LocalLpBatch {
     solve_local_lps(inst, &LocalLpOptions::new(1).with_backend(BackendKind::Sequential)).unwrap()
 }
 
+/// The class solutions of a batch as bit patterns, for exact comparison.
+fn solution_bits(batch: &LocalLpBatch) -> Vec<Vec<u64>> {
+    batch
+        .class_solutions
+        .iter()
+        .map(|x| x.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
 fn loopback(faults: FaultPlan) -> LoopbackBackend {
     // 6 shards over 2 workers: enough pipelining depth that reordering and
     // duplication have something to scramble.
@@ -50,6 +59,7 @@ fn faultless_loopback_is_bit_identical() {
         assert_eq!(batch.local_x, reference.local_x, "{mode:?}");
         assert_eq!(batch.class_of_ball, reference.class_of_ball, "{mode:?}");
         assert_eq!(batch.class_keys, reference.class_keys, "{mode:?}");
+        assert_eq!(solution_bits(&batch), solution_bits(&reference), "{mode:?}");
     }
 }
 
@@ -62,6 +72,7 @@ fn reordered_replies_never_change_the_solution() {
         let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
         assert_eq!(batch.local_x, reference.local_x, "seed {seed}");
         assert_eq!(batch.class_of_ball, reference.class_of_ball, "seed {seed}");
+        assert_eq!(solution_bits(&batch), solution_bits(&reference), "seed {seed}");
         assert_eq!(batch.stats.unique_classes, reference.stats.unique_classes, "seed {seed}");
     }
 }
@@ -80,6 +91,7 @@ fn duplicated_replies_never_change_the_solution() {
     let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
     assert_eq!(batch.local_x, reference.local_x);
     assert_eq!(batch.class_of_ball, reference.class_of_ball);
+    assert_eq!(solution_bits(&batch), solution_bits(&reference));
 }
 
 #[test]
@@ -91,6 +103,7 @@ fn killed_worker_is_retried_to_an_identical_result() {
     let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
     assert_eq!(batch.local_x, reference.local_x);
     assert_eq!(batch.class_keys, reference.class_keys);
+    assert_eq!(solution_bits(&batch), solution_bits(&reference));
 }
 
 #[test]
@@ -135,6 +148,7 @@ fn killed_worker_mid_delta_is_retried_to_an_identical_result() {
     assert_eq!(run.batch.balls, reference.balls);
     assert_eq!(run.batch.class_of_ball, reference.class_of_ball);
     assert_eq!(run.batch.class_keys, reference.class_keys);
+    assert_eq!(solution_bits(&run.batch), solution_bits(&reference));
 }
 
 #[test]
@@ -209,6 +223,7 @@ fn an_aborted_run_leaves_the_same_pooled_backend_usable() {
     let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
     assert_eq!(batch.local_x, reference.local_x);
     assert_eq!(batch.class_of_ball, reference.class_of_ball);
+    assert_eq!(solution_bits(&batch), solution_bits(&reference));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +424,7 @@ fn subprocess_backend_is_bit_identical_end_to_end() {
         assert_eq!(batch.local_x, reference.local_x, "overlapped={overlapped}");
         assert_eq!(batch.class_of_ball, reference.class_of_ball);
         assert_eq!(batch.class_keys, reference.class_keys);
-        assert_eq!(batch.class_bases, reference.class_bases);
+        assert_eq!(solution_bits(&batch), solution_bits(&reference), "overlapped={overlapped}");
     }
 }
 
@@ -453,4 +468,5 @@ fn unavailable_subprocess_falls_back_to_loopback_with_identical_results() {
     let batch = solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend).unwrap();
     assert_eq!(batch.local_x, reference.local_x);
     assert_eq!(batch.class_of_ball, reference.class_of_ball);
+    assert_eq!(solution_bits(&batch), solution_bits(&reference));
 }
