@@ -133,8 +133,9 @@ impl WireRule {
 /// This is the honest distributed form of [`run_local_rule`] made
 /// serialisable: state and messages are the gathering protocol's (with its
 /// exact-bit codecs), the configuration adds the rule selector and simplex
-/// options, so the whole algorithm runs through the `mmlp/sim-round@1`
-/// stage on any backend — including real worker processes.
+/// options, so the whole algorithm runs through the worker-resident
+/// `mmlp/sim-epoch@1` stage on any backend — including real worker
+/// processes, which keep each node's gathered view between rounds.
 #[derive(Debug, Clone)]
 pub struct LocalRuleProgram {
     rule: WireRule,
@@ -274,9 +275,11 @@ impl WireProgram for LocalRuleProgram {
 
 /// Runs one of the paper's view-based rules fully distributed through the
 /// typed-message tier: every simulator round is shipped through the
-/// simulator's configured backend as a `mmlp/sim-round@1` wire stage
-/// (resolved against the engine registry, which serves this program), and
-/// the per-agent activities come back as the nodes' final outputs.
+/// simulator's configured backend as a `mmlp/sim-epoch@1` wire stage
+/// (resolved against the engine registry, which serves this program).
+/// Workers keep the nodes' growing views resident, so a round ships only
+/// the inter-shard gather messages, and the per-agent activities come back
+/// as the nodes' final outputs.
 ///
 /// Bit-identical to [`run_local_rule`] with the matching rule closure — the
 /// conformance suite asserts it across every backend, shard count and

@@ -23,8 +23,8 @@
 //!   the batch's `memo_hits` stat), so operators can see which tenants
 //!   actually benefit from sharing.
 //!
-//! Simulator epochs are admitted through the same underlying service via
-//! [`Simulator::submit_typed_epoch`](mmlp_distsim::Simulator::submit_typed_epoch)
+//! Simulator runs are admitted through the same underlying service via
+//! [`Simulator::submit_typed`](mmlp_distsim::Simulator::submit_typed)
 //! and [`EngineService::inner`].
 
 use std::sync::{Arc, Mutex, PoisonError};

@@ -36,8 +36,7 @@ use crate::runner::{LocalRuleProgram, LOCAL_RULE_PROGRAM_ID};
 use mmlp_core::canonical::{CanonicalForm, CanonicalKey};
 use mmlp_core::{InstanceBuilder, MaxMinInstance};
 use mmlp_distsim::{
-    handle_sim_epoch, handle_sim_round, peek_program_id, GatherProgram, GATHER_PROGRAM_ID,
-    STAGE_SIM_EPOCH, STAGE_SIM_ROUND,
+    handle_sim_epoch, peek_program_id, GatherProgram, GATHER_PROGRAM_ID, STAGE_SIM_EPOCH,
 };
 use mmlp_hypergraph::{communication_hypergraph, NeighborCache};
 use mmlp_lp::{LpError, SimplexOptions};
@@ -812,28 +811,11 @@ fn handle_scatter(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Result<Vec<
     Ok(out)
 }
 
-/// The worker-side dispatcher for simulator rounds (`mmlp/sim-round@1`):
-/// routes a round job to the generic round body for every [`WireProgram`]
-/// the engine's workers know — the gathering protocol and the
-/// gather-then-decide rule program.  Unknown program ids are refused, the
-/// same contract as unknown stage ids.
-///
-/// [`WireProgram`]: mmlp_distsim::WireProgram
-fn handle_engine_sim_round(
-    ctx: &[u8],
-    job: &[u8],
-    cache: &mut StageCache,
-) -> Result<Vec<u8>, String> {
-    match peek_program_id(ctx).map_err(|e| e.to_string())? {
-        GATHER_PROGRAM_ID => handle_sim_round::<GatherProgram>(ctx, job, cache),
-        LOCAL_RULE_PROGRAM_ID => handle_sim_round::<LocalRuleProgram>(ctx, job, cache),
-        other => Err(format!("unknown simulator program `{other}`")),
-    }
-}
-
-/// The worker-side dispatcher for worker-resident simulator rounds
-/// (`mmlp/sim-epoch@1`): the same program dispatch as
-/// [`handle_engine_sim_round`], routed to the resident-state round body.
+/// The worker-side dispatcher for simulator rounds (`mmlp/sim-epoch@1`):
+/// routes a round job to the generic resident-state round body for every
+/// [`WireProgram`] the engine's workers know — the gathering protocol and
+/// the gather-then-decide rule program.  Unknown program ids are refused,
+/// the same contract as unknown stage ids.
 ///
 /// [`WireProgram`]: mmlp_distsim::WireProgram
 fn handle_engine_sim_epoch(
@@ -853,8 +835,8 @@ fn handle_engine_sim_epoch(
 // ---------------------------------------------------------------------------
 
 /// The engine's stage registry: what an `mmlp` worker process can compute —
-/// the four batched-pipeline stages plus the distributed simulator's
-/// `mmlp/sim-round@1` stage for the programs the engine knows.
+/// the batched-pipeline stages plus the distributed simulator's
+/// `mmlp/sim-epoch@1` stage for the programs the engine knows.
 ///
 /// Shared (it is what both the worker binary and the loopback/subprocess
 /// fallbacks dispatch through); built once per process.
@@ -869,7 +851,6 @@ pub fn engine_registry() -> Arc<StageRegistry> {
             registry.register(STAGE_PRESENT_LIFTED, handle_present_lifted);
             registry.register(STAGE_SOLVE, handle_solve);
             registry.register(STAGE_SCATTER, handle_scatter);
-            registry.register(STAGE_SIM_ROUND, handle_engine_sim_round);
             registry.register(STAGE_SIM_EPOCH, handle_engine_sim_epoch);
             Arc::new(registry)
         })

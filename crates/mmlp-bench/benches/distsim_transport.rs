@@ -1,5 +1,6 @@
 //! Benchmark for the distributed simulator's typed-message tier: the
-//! radius-2 gathering protocol through the `mmlp/sim-round@1` stage on the
+//! radius-2 gathering protocol through the worker-resident
+//! `mmlp/sim-epoch@1` stage on the
 //! in-process backends, the in-memory loopback transport and the subprocess
 //! backend in lockstep vs overlapped dispatch — what a synchronous round
 //! costs per boundary crossed.
@@ -72,10 +73,10 @@ fn bench_gather_rounds_on_grid15(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sim_round_codecs(c: &mut Criterion) {
+fn bench_sim_view_codecs(c: &mut Criterion) {
     use maxmin_local_lp::distsim::gather::{put_local_view, read_local_view};
     use maxmin_local_lp::parallel::wire::ByteReader;
-    let mut group = c.benchmark_group("e10_sim_round_codecs");
+    let mut group = c.benchmark_group("e10_sim_view_codecs");
     let (network, program) = gather_setup(15, 2);
     // The heaviest payload of a run: a halting node's full radius-2 view.
     let views = Simulator::sequential().run(&network, &program).unwrap().outputs;
@@ -98,5 +99,5 @@ fn bench_sim_round_codecs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gather_rounds_on_grid15, bench_sim_round_codecs);
+criterion_group!(benches, bench_gather_rounds_on_grid15, bench_sim_view_codecs);
 criterion_main!(benches);

@@ -17,9 +17,9 @@
 
 use crate::network::Network;
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
+use crate::sim_epoch::distsim_registry;
 use crate::simulator::{SimError, SimulationResult, Simulator};
 use crate::view::LocalView;
-use crate::wire_round::distsim_registry;
 use mmlp_core::{AgentId, MaxMinInstance, PartyId, ResourceId};
 use mmlp_hypergraph::communication_hypergraph;
 use mmlp_parallel::wire::{put_f64, put_usize, ByteReader, WireError};
@@ -323,11 +323,11 @@ impl WireProgram for GatherProgram {
 /// The communication topology is the full communication hypergraph of the
 /// instance (resource and party hyperedges).
 ///
-/// The transport backend kinds run the protocol through the typed-message
-/// tier ([`Simulator::run_typed`] with the
-/// [`distsim_registry`]) — every round genuinely
-/// crosses the byte (or process) boundary; the in-process kinds use the
-/// closure tier.  Both tiers are bit-identical.
+/// The transport backend kinds run the protocol through the worker-resident
+/// wire tier ([`Simulator::run_typed`] with the [`distsim_registry`]) —
+/// every round's inter-shard messages genuinely cross the byte (or process)
+/// boundary; the in-process kinds use the closure tier.  Both tiers are
+/// bit-identical.
 pub fn gather_views(
     instance: &MaxMinInstance,
     radius: usize,
@@ -457,7 +457,7 @@ mod tests {
     /// local shard count and the loopback transport, asserting all are
     /// bit-identical to the sequential closure reference.
     fn assert_gather_identical_everywhere(inst: &MaxMinInstance, radius: usize) {
-        use crate::wire_round::distsim_registry;
+        use crate::sim_epoch::distsim_registry;
         use mmlp_parallel::{LoopbackBackend, ParallelConfig, Sharded};
         let (h, _) = communication_hypergraph(inst);
         let network = Network::from_hypergraph(&h);

@@ -17,15 +17,13 @@
 //!   rounds every agent holds exactly the information available in
 //!   `B_H(v, r)`, packaged as a [`LocalView`];
 //! * [`view`] — the [`LocalView`] type that local algorithms consume;
-//! * [`wire_round`] — the typed-message execution tier: a [`WireProgram`]
+//! * [`sim_epoch`] — the typed-message wire tier: a [`WireProgram`]
 //!   declares exact-bit codecs for its state, messages and outputs, and a
-//!   simulator round becomes the `mmlp/sim-round@1` wire stage, executable
-//!   by every [`SolveBackend`](mmlp_parallel::SolveBackend) — including the
-//!   transport backends, where rounds genuinely cross the process boundary;
-//! * [`sim_epoch`] — the worker-resident execution tier: workers own their
-//!   node-range's state across rounds (`mmlp/sim-epoch@1`), jobs ship only
-//!   inter-shard message batches, and worker death is handled by the
-//!   checkpoint/restore protocol driven by a [`CheckpointPolicy`].
+//!   simulator round becomes the `mmlp/sim-epoch@1` wire stage, executable
+//!   by every [`SolveBackend`](mmlp_parallel::SolveBackend).  Workers own
+//!   their node range's state across rounds, jobs ship only inter-shard
+//!   message batches, and worker death is handled by the checkpoint/restore
+//!   protocol driven by a [`CheckpointPolicy`].
 //!
 //! The simulator is exact rather than approximate: a deterministic local
 //! algorithm executed through it produces precisely the same outputs it would
@@ -41,19 +39,17 @@ pub mod program;
 pub mod sim_epoch;
 pub mod simulator;
 pub mod view;
-pub mod wire_round;
 
 pub use gather::{
     gather_views, GatherMessage, GatherProgram, GatherState, LocalKnowledge, GATHER_PROGRAM_ID,
 };
 pub use network::{put_network, read_network, Network};
 pub use program::{Action, MessageSize, NodeProgram, WireProgram};
-pub use sim_epoch::{handle_sim_epoch, CheckpointPolicy, STAGE_SIM_EPOCH};
+pub use sim_epoch::{
+    distsim_registry, handle_sim_epoch, peek_program_id, CheckpointPolicy, STAGE_SIM_EPOCH,
+};
 pub use simulator::{EpochTicket, SimError, SimulationResult, Simulator, SimulatorConfig};
 pub use view::LocalView;
-pub use wire_round::{
-    distsim_registry, handle_sim_round, peek_program_id, NodeStep, SimRoundStage, STAGE_SIM_ROUND,
-};
 
 /// Test topologies shared by the simulator-tier suites, so a topology fix
 /// cannot silently drift between tiers.

@@ -8,8 +8,8 @@
 //! * [`WireProgram`] — the typed-message tier: the program additionally
 //!   declares exact-bit codecs for its state, message and output types plus
 //!   a versioned program identifier, which is what lets a simulator round
-//!   ship across the transport boundary as the `mmlp/sim-round@1` wire
-//!   stage (see [`crate::wire_round`]) and run on worker processes.
+//!   ship across the transport boundary as the `mmlp/sim-epoch@1` wire
+//!   stage (see [`crate::sim_epoch`]) and run on worker processes.
 
 use crate::network::Network;
 use mmlp_parallel::wire::{ByteReader, WireError};
@@ -106,19 +106,17 @@ pub trait NodeProgram: Sync {
 ///   IEEE-754 bit patterns; every decoder must return a typed
 ///   [`WireError`] on malformed input rather than panicking.
 ///
-/// With those in hand a simulator round becomes a pure function of bytes —
-/// `round(state, inbox) -> (state, outbox)` — executable by every
+/// With those in hand a simulator round is executable by every
 /// [`SolveBackend`](mmlp_parallel::SolveBackend) through the
-/// `mmlp/sim-round@1` wire stage (state-in-job) or the worker-resident
-/// `mmlp/sim-epoch@1` stage: the in-process backends step a cloned
-/// state directly, the transport backends ship the encoded bytes to a
-/// worker and decode what returns.  Because the codecs are exact,
-/// both paths are bit-identical.
+/// worker-resident `mmlp/sim-epoch@1` wire stage: the in-process backends
+/// step host-side shard mirrors directly, the transport backends ship the
+/// encoded inter-shard messages to the workers holding the states and
+/// decode the actions that return (states travel only in checkpoint
+/// snapshots).  Because the codecs are exact, both paths are bit-identical.
 ///
 /// The `Self::State: Clone + Sync` bound is what lets the in-process
-/// reference path ([`mmlp_parallel::driver::WireStage::run_local`]) execute
-/// the same pure step on borrowed state from worker threads without
-/// consuming the caller's authoritative copy.
+/// reference path ([`mmlp_parallel::driver::WireStage::run_local`]) step
+/// the shard mirrors from worker threads.
 ///
 /// The gathering protocol is this crate's built-in wire program; "exact-bit
 /// codec" means a state survives the byte boundary unchanged:
@@ -163,7 +161,7 @@ where
     Self::State: Clone + Sync,
 {
     /// Stable program identifier with a payload-version suffix (e.g.
-    /// `mmlp/prog/gather@1`), dispatched by the worker-side sim-round
+    /// `mmlp/prog/gather@1`), dispatched by the worker-side sim-epoch
     /// handler.
     fn program_id(&self) -> &'static str;
 

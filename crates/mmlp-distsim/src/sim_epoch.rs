@@ -1,9 +1,10 @@
-//! Worker-resident simulator rounds: the `mmlp/sim-epoch@1` seam.
+//! Simulator rounds as wire stages: the `mmlp/sim-epoch@1` seam.
 //!
-//! The `mmlp/sim-round@1` stage ([`crate::wire_round`]) ships every running
-//! node's state with every round's jobs, which makes workers stateless but
-//! dominates the per-round wire volume.  This module flips the ownership:
-//! each worker keeps its node-range's states **resident between rounds**, so
+//! One synchronous round of a [`WireProgram`] is submitted as a
+//! [`WireStage`] over fixed node-range shards, so it runs on every
+//! [`SolveBackend`](mmlp_parallel::SolveBackend) — including the transport
+//! backends, where rounds genuinely cross the byte and process boundary.
+//! Each worker keeps its node-range's states **resident between rounds**:
 //! a round's job carries only the round number and the shard's non-empty
 //! inter-shard message batches, and the reply carries only each node's
 //! outbox action — state never travels in the steady path.
@@ -30,30 +31,33 @@
 //!   target list, so the host reproduces the sequential simulator's message
 //!   and unit accounting exactly; new state stays on the worker.
 //!
-//! Losing a worker now loses state, so correctness under worker death moves
-//! from respawn-and-resend to **checkpoint/restore**: every `k` rounds (a
-//! [`CheckpointPolicy`]) the job's flags request a snapshot, which the
-//! worker streams back as a `Checkpoint` frame immediately before the
-//! round's reply.  The driver's [`RecoveryLog`](mmlp_parallel::RecoveryLog)
-//! retains the newest snapshot per shard plus every job frame sent since;
-//! on worker death it respawns the worker, sends a `Restore` frame with the
-//! snapshot and replays the buffered jobs, which rebuilds the resident
-//! state bit-for-bit.  Before the first checkpoint the buffered jobs reach
-//! back to round 0, whose job initialises the shard from the program's
-//! `init` — so every phase of a run is recoverable.
+//! Losing a worker loses state, so correctness under worker death comes
+//! from **checkpoint/restore**: every `k` rounds (a [`CheckpointPolicy`])
+//! the job's flags request a snapshot, which the worker streams back as a
+//! `Checkpoint` frame immediately before the round's reply.  The driver's
+//! [`RecoveryLog`](mmlp_parallel::RecoveryLog) retains the newest snapshot
+//! per shard plus every job frame sent since; on worker death it respawns
+//! the worker, sends a `Restore` frame with the snapshot and replays the
+//! buffered jobs, which rebuilds the resident state bit-for-bit.  Before
+//! the first checkpoint the buffered jobs reach back to round 0, whose job
+//! initialises the shard from the program's `init` — so every phase of a
+//! run is recoverable.
 //!
 //! The conformance suites assert this tier is bit-identical to the
-//! sequential simulator and to the state-in-job tier, including under
-//! scripted worker deaths at every checkpoint phase.
+//! sequential closure-tier simulator, including under scripted worker
+//! deaths at every checkpoint phase.
+//!
+//! The retired `mmlp/sim-round@1` stage (state shipped with every job) is
+//! served by no registry; its id is never reused.
 
 use crate::network::{put_network, read_network, Network};
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
-use crate::wire_round::{peek_program_id, TAG_BROADCAST, TAG_HALT, TAG_IDLE, TAG_SEND};
 use mmlp_parallel::wire::{put_str, put_u64, put_u8, put_usize, ByteReader, WireError};
-use mmlp_parallel::{Shard, StageCache, TransportError, WireStage};
+use mmlp_parallel::{Shard, StageCache, StageRegistry, TransportError, WireStage};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Stage identifier of a worker-resident simulator round (`@1` is the
 /// payload version — see the versioning rule in [`mmlp_parallel::wire`]).
@@ -62,6 +66,12 @@ pub const STAGE_SIM_EPOCH: &str = "mmlp/sim-epoch@1";
 /// Job flags bit 0: the worker must stream a state snapshot (a `Checkpoint`
 /// frame) immediately before this round's reply.
 const FLAG_CHECKPOINT: u8 = 1;
+
+/// Action tags of a reply entry.
+const TAG_BROADCAST: u8 = 0;
+const TAG_SEND: u8 = 1;
+const TAG_IDLE: u8 = 2;
+const TAG_HALT: u8 = 3;
 
 /// How often the epoch tier asks workers to stream state snapshots back to
 /// the host, measured in rounds.
@@ -171,10 +181,6 @@ pub(crate) enum EpochAction<M, O> {
     Halt(O),
 }
 
-/// One round's `(node, action)` pairs exactly as the program stepped them,
-/// in ascending node order (the shape [`step_resident`] returns).
-type StepActions<P> = Vec<(usize, Action<<P as NodeProgram>::Message, <P as NodeProgram>::Output>)>;
-
 /// One reply entry: a node id and its action in the payload-elided form.
 pub(crate) type EpochStep<P> =
     (usize, EpochAction<<P as NodeProgram>::Message, <P as NodeProgram>::Output>);
@@ -203,43 +209,40 @@ where
     }
 }
 
-/// Merges the shard's retained intra-shard deliveries with the job's
-/// inter-shard batches into per-node inboxes, stably sorted by sender — the
-/// exact order [`deliver_round`](crate::simulator) produces, because a
-/// sender is either inside or outside the shard (never both) and each
-/// source preserves per-sender emission order.
-fn merge_inboxes<M>(
-    pending: BTreeMap<usize, Vec<(usize, M)>>,
-    external: impl IntoIterator<Item = (usize, Vec<(usize, M)>)>,
-) -> BTreeMap<usize, Vec<(usize, M)>> {
-    let mut merged = pending;
-    for (node, batch) in external {
-        merged.entry(node).or_default().extend(batch);
-    }
-    for inbox in merged.values_mut() {
-        inbox.sort_by_key(|(from, _)| *from);
-    }
-    merged
-}
-
-/// Steps every resident node of one shard through `round`, removing the
-/// nodes that halted and advancing `next_round`.  Returns the `(node,
-/// action)` pairs in ascending node order.
-fn step_resident<'i, P: WireProgram>(
+/// Steps every resident node of one shard `[start, end)` through `round`
+/// and returns the reply entries in ascending node order.
+///
+/// Inboxes merge the shard's retained intra-shard deliveries with the
+/// job's inter-shard batches, stably sorted by sender — the order the
+/// closure tier delivers in, because a sender is either inside or outside
+/// the shard (never both) and each source preserves per-sender emission
+/// order.  Nodes that halt leave the shard before anything is delivered,
+/// mirroring the closure tier's rule that a node halting in round `r`
+/// receives no round-`r` messages.  Every intra-shard copy to a node still
+/// resident is then retained in `resident.pending` for the next round, and
+/// a payload stays in the reply only where a copy crosses the boundary.
+fn advance_resident<P: WireProgram>(
     program: &P,
     network: &Network,
     resident: &mut EpochResident<P::State, P::Message>,
     round: usize,
-    inbox_of: impl Fn(usize) -> &'i [(usize, P::Message)],
-) -> StepActions<P>
+    (start, end): (usize, usize),
+    external: impl IntoIterator<Item = (usize, Vec<(usize, P::Message)>)>,
+) -> Vec<EpochStep<P>>
 where
     P::State: Clone + Sync,
-    P::Message: 'i,
 {
+    let mut inboxes = std::mem::take(&mut resident.pending);
+    for (node, batch) in external {
+        inboxes.entry(node).or_default().extend(batch);
+    }
+    for inbox in inboxes.values_mut() {
+        inbox.sort_by_key(|(from, _)| *from);
+    }
     let mut steps = Vec::with_capacity(resident.states.len());
     for (&node, state) in resident.states.iter_mut() {
-        let action = program.step(node, state, inbox_of(node), round, network);
-        steps.push((node, action));
+        let inbox = inboxes.get(&node).map_or(&[][..], Vec::as_slice);
+        steps.push((node, program.step(node, state, inbox, round, network)));
     }
     for (node, action) in &steps {
         if matches!(action, Action::Halt(_)) {
@@ -247,26 +250,7 @@ where
         }
     }
     resident.next_round = round + 1;
-    steps
-}
 
-/// Converts one round's stepped actions into the reply representation:
-/// retains every intra-shard delivery in `resident.pending` (for recipients
-/// that are still resident — halted nodes no longer receive) and keeps the
-/// payload only where a copy must cross the shard boundary.  Runs after
-/// [`step_resident`] removed this round's halted nodes, mirroring the
-/// sequential simulator's rule that a node halting in round `r` receives no
-/// round-`r` messages.
-fn epoch_actions<P: WireProgram>(
-    network: &Network,
-    resident: &mut EpochResident<P::State, P::Message>,
-    shard: (usize, usize),
-    steps: StepActions<P>,
-) -> Vec<EpochStep<P>>
-where
-    P::State: Clone + Sync,
-{
-    let (start, end) = shard;
     let in_shard = |v: usize| v >= start && v < end;
     let mut pending: BTreeMap<usize, Vec<(usize, P::Message)>> = BTreeMap::new();
     let mut out = Vec::with_capacity(steps.len());
@@ -310,12 +294,10 @@ where
 /// One worker-resident simulator round as a [`WireStage`] over node-range
 /// shards of the **whole** network.
 ///
-/// Unlike [`SimRoundStage`](crate::wire_round::SimRoundStage), which plans
-/// over the running set (it ships state anyway, so the plan may shrink),
-/// the epoch stage plans over all `n` nodes every round: shard boundaries
-/// must stay fixed so each worker's resident states keep describing the
-/// same node range, and so the driver's recovery log accumulates per-shard
-/// history that stays valid across rounds.
+/// The stage plans over all `n` nodes every round, halted ones included:
+/// shard boundaries must stay fixed so each worker's resident states keep
+/// describing the same node range, and so the driver's recovery log
+/// accumulates per-shard history that stays valid across rounds.
 pub(crate) struct SimEpochStage<'a, P: WireProgram>
 where
     P::State: Clone + Sync,
@@ -410,8 +392,11 @@ where
                     }
                 }
                 EpochAction::Send { list } => {
+                    // A target must be a neighbour of the sender (which
+                    // also bounds it by `n`): the host delivers by index.
+                    let neighbors = self.network.neighbors(node);
                     for (to, _, message) in list {
-                        if in_shard(*to) == message.is_some() {
+                        if !neighbors.contains(to) || in_shard(*to) == message.is_some() {
                             return Err(WireError::Decode { context: CTX }.into());
                         }
                     }
@@ -437,11 +422,9 @@ where
             .range()
             .filter(|&v| self.running[v] && !self.inboxes[v].is_empty())
             .map(|v| (v, self.inboxes[v].clone()));
-        let merged = merge_inboxes(std::mem::take(&mut resident.pending), external);
-        let steps = step_resident(self.program, self.network, resident, self.round, |node| {
-            merged.get(&node).map_or(&[][..], Vec::as_slice)
-        });
-        let steps = epoch_actions::<P>(self.network, resident, (shard.start, shard.end), steps);
+        let range = (shard.start, shard.end);
+        let steps =
+            advance_resident(self.program, self.network, resident, self.round, range, external);
         (shard.start, shard.end, steps)
     }
 }
@@ -645,9 +628,9 @@ where
 /// frame before the reply.
 ///
 /// Registries register a plain dispatcher `fn` for [`STAGE_SIM_EPOCH`] that
-/// peeks the program id ([`peek_program_id`])
-/// and calls this generic body with the matching program type, exactly like
-/// [`handle_sim_round`](crate::wire_round::handle_sim_round).
+/// peeks the program id ([`peek_program_id`]) and calls this generic body
+/// with the matching program type — the worker refuses program ids it does
+/// not know, exactly like unknown stage ids.
 ///
 /// # Errors
 ///
@@ -767,11 +750,7 @@ where
                 resident.next_round
             ));
         } else {
-            let merged = merge_inboxes(std::mem::take(&mut resident.pending), external);
-            let steps = step_resident(program, network, resident, round, |node| {
-                merged.get(&node).map_or(&[][..], Vec::as_slice)
-            });
-            let steps = epoch_actions::<P>(network, resident, (start, end), steps);
+            let steps = advance_resident(program, network, resident, round, (start, end), external);
             let mut reply = Vec::new();
             encode_actions(program, &steps, &mut reply);
             resident.last = Some((round, reply.clone()));
@@ -786,14 +765,37 @@ where
     Ok(reply)
 }
 
-/// The distsim registry's dispatcher for [`STAGE_SIM_EPOCH`] (gather only —
-/// crates with more wire programs compose their own, like the engine
-/// registry in `mmlp-algorithms`).
-pub(crate) fn handle_distsim_epoch(
-    ctx: &[u8],
-    job: &[u8],
-    cache: &mut StageCache,
-) -> Result<Vec<u8>, String> {
+/// Reads the program identifier a sim-epoch context frame opens with, so a
+/// registry's dispatcher can route to the right [`handle_sim_epoch`]
+/// instantiation.
+///
+/// # Errors
+///
+/// A typed [`WireError`] when the context is malformed.
+pub fn peek_program_id(ctx: &[u8]) -> Result<&str, WireError> {
+    ByteReader::new(ctx).str("sim-epoch program id")
+}
+
+/// The distributed simulator's own stage registry: serves
+/// [`STAGE_SIM_EPOCH`] for the programs this crate defines (currently the
+/// gathering protocol).
+///
+/// Crates that define further wire programs compose their own dispatcher on
+/// top of [`peek_program_id`] + [`handle_sim_epoch`] — the engine's
+/// `engine_registry` in `mmlp-algorithms` serves both its pipeline stages
+/// and every simulator program it knows.
+pub fn distsim_registry() -> Arc<StageRegistry> {
+    static REGISTRY: OnceLock<Arc<StageRegistry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            let mut registry = StageRegistry::new();
+            registry.register(STAGE_SIM_EPOCH, handle_distsim_epoch);
+            Arc::new(registry)
+        })
+        .clone()
+}
+
+fn handle_distsim_epoch(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Result<Vec<u8>, String> {
     match peek_program_id(ctx).map_err(|e| e.to_string())? {
         crate::gather::GATHER_PROGRAM_ID => {
             handle_sim_epoch::<crate::gather::GatherProgram>(ctx, job, cache)
@@ -808,11 +810,11 @@ mod tests {
     use crate::program::NodeProgram;
     use crate::simulator::{SimError, Simulator, SimulatorConfig};
     use crate::test_topology::path_network;
-    use mmlp_parallel::wire::put_u64;
     use mmlp_parallel::{
-        BackendKind, FaultPlan, LoopbackBackend, ParallelConfig, Sequential, Sharded, StageRegistry,
+        DriverMode, FaultPlan, LoopbackBackend, ParallelConfig, Sequential, Sharded,
     };
-    use std::sync::Arc;
+
+    const MODES: [DriverMode; 2] = [DriverMode::Lockstep, DriverMode::Overlapped];
 
     /// Exercises every [`Action`] variant over a configurable horizon: in
     /// round 0 even nodes `Send` their value to their smallest neighbour and
@@ -856,42 +858,95 @@ mod tests {
         }
     }
 
-    const PULSE_PROGRAM_ID: &str = "test/prog/pulse@1";
+    /// Every [`Action`] variant in three lockstep rounds: in round 0 even
+    /// nodes `Send` their id (plus a configurable boost) to their smallest
+    /// neighbour and odd nodes stay `Idle`; in round 1 everyone
+    /// `Broadcast`s its accumulated sum; in round 2 everyone `Halt`s with
+    /// it.
+    #[derive(Debug, Clone, PartialEq)]
+    struct RelayProgram {
+        boost: usize,
+    }
 
-    impl WireProgram for PulseProgram {
-        fn program_id(&self) -> &'static str {
-            PULSE_PROGRAM_ID
+    impl NodeProgram for RelayProgram {
+        type State = u64;
+        type Message = u64;
+        type Output = u64;
+
+        fn init(&self, node: usize, _network: &Network) -> u64 {
+            (node + self.boost) as u64
         }
-        fn encode_config(&self, out: &mut Vec<u8>) {
-            put_usize(out, self.rounds);
-        }
-        fn decode_config(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-            Ok(Self { rounds: r.usize("pulse config")? })
-        }
-        fn encode_state(&self, state: &u64, out: &mut Vec<u8>) {
-            put_u64(out, *state);
-        }
-        fn decode_state(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
-            r.u64("pulse state")
-        }
-        fn encode_message(&self, message: &u64, out: &mut Vec<u8>) {
-            put_u64(out, *message);
-        }
-        fn decode_message(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
-            r.u64("pulse message")
-        }
-        fn encode_output(&self, output: &u64, out: &mut Vec<u8>) {
-            put_u64(out, *output);
-        }
-        fn decode_output(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
-            r.u64("pulse output")
+
+        fn step(
+            &self,
+            node: usize,
+            state: &mut u64,
+            inbox: &[(usize, u64)],
+            round: usize,
+            network: &Network,
+        ) -> Action<u64, u64> {
+            for (_, m) in inbox {
+                *state += m;
+            }
+            match round {
+                0 if node % 2 == 0 && !network.neighbors(node).is_empty() => {
+                    Action::Send(vec![(network.neighbors(node)[0], *state)])
+                }
+                0 => Action::Idle,
+                1 => Action::Broadcast(*state),
+                _ => Action::Halt(*state),
+            }
         }
     }
 
-    fn pulse_registry() -> Arc<StageRegistry> {
+    const PULSE_PROGRAM_ID: &str = "test/prog/pulse@1";
+    const RELAY_PROGRAM_ID: &str = "test/prog/relay@1";
+
+    /// Both test programs carry one `usize` of configuration and use `u64`
+    /// for state, messages and outputs.
+    macro_rules! u64_wire_program {
+        ($program:ident, $field:ident, $id:expr) => {
+            impl WireProgram for $program {
+                fn program_id(&self) -> &'static str {
+                    $id
+                }
+                fn encode_config(&self, out: &mut Vec<u8>) {
+                    put_usize(out, self.$field);
+                }
+                fn decode_config(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+                    Ok(Self { $field: r.usize("test config")? })
+                }
+                fn encode_state(&self, state: &u64, out: &mut Vec<u8>) {
+                    put_u64(out, *state);
+                }
+                fn decode_state(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
+                    r.u64("test state")
+                }
+                fn encode_message(&self, message: &u64, out: &mut Vec<u8>) {
+                    put_u64(out, *message);
+                }
+                fn decode_message(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
+                    r.u64("test message")
+                }
+                fn encode_output(&self, output: &u64, out: &mut Vec<u8>) {
+                    put_u64(out, *output);
+                }
+                fn decode_output(&self, r: &mut ByteReader<'_>) -> Result<u64, WireError> {
+                    r.u64("test output")
+                }
+            }
+        };
+    }
+
+    u64_wire_program!(PulseProgram, rounds, PULSE_PROGRAM_ID);
+    u64_wire_program!(RelayProgram, boost, RELAY_PROGRAM_ID);
+
+    /// Serves both test programs.
+    fn test_registry() -> Arc<StageRegistry> {
         fn dispatch(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Result<Vec<u8>, String> {
             match peek_program_id(ctx).map_err(|e| e.to_string())? {
                 PULSE_PROGRAM_ID => handle_sim_epoch::<PulseProgram>(ctx, job, cache),
+                RELAY_PROGRAM_ID => handle_sim_epoch::<RelayProgram>(ctx, job, cache),
                 other => Err(format!("unknown simulator program `{other}`")),
             }
         }
@@ -908,22 +963,37 @@ mod tests {
         })
     }
 
-    #[test]
-    fn epoch_tier_matches_the_closure_tier_on_every_action_variant() {
-        let net = path_network(13);
-        let program = PulseProgram { rounds: 7 };
-        let reference = Simulator::sequential().run(&net, &program).unwrap();
-        let simulator = sim(2);
-        let via_sequential = simulator.run_epoch_on(&net, &program, &Sequential).unwrap();
-        assert_eq!(via_sequential, reference);
+    /// Runs `program` on the sequential backend, the sharded backend at
+    /// several shard counts and loopback workers in both driver modes,
+    /// asserting every run equals the closure-tier reference.
+    fn assert_wire_matches_closure<P>(net: &Network, program: &P, simulator: &Simulator)
+    where
+        P: WireProgram,
+        P::State: Clone + Sync,
+        P::Output: PartialEq + std::fmt::Debug,
+    {
+        let reference = Simulator::sequential().run(net, program).unwrap();
+        let id = program.program_id();
+        let via_sequential = simulator.run_wire_on(net, program, &Sequential).unwrap();
+        assert_eq!(via_sequential, reference, "{id} sequential");
         for shards in [1usize, 2, 5] {
             let backend = Sharded::new(shards, ParallelConfig::sequential());
-            let run = simulator.run_epoch_on(&net, &program, &backend).unwrap();
-            assert_eq!(run, reference, "{shards} shards");
+            let run = simulator.run_wire_on(net, program, &backend).unwrap();
+            assert_eq!(run, reference, "{id} {shards} shards");
         }
-        let loopback = LoopbackBackend::new(pulse_registry(), 4).with_workers(2);
-        let run = simulator.run_epoch_on(&net, &program, &loopback).unwrap();
-        assert_eq!(run, reference, "loopback");
+        for mode in MODES {
+            let loopback = LoopbackBackend::new(test_registry(), 4).with_workers(2).with_mode(mode);
+            let run = simulator.run_wire_on(net, program, &loopback).unwrap();
+            assert_eq!(run, reference, "{id} loopback {mode:?}");
+        }
+    }
+
+    #[test]
+    fn wire_tier_matches_the_closure_tier_on_every_action_variant() {
+        assert_wire_matches_closure(&path_network(13), &PulseProgram { rounds: 7 }, &sim(2));
+        assert_wire_matches_closure(&path_network(11), &RelayProgram { boost: 7 }, &sim(2));
+        // The default cadence never checkpoints a three-round run.
+        assert_wire_matches_closure(&path_network(11), &RelayProgram { boost: 7 }, &sim(16));
     }
 
     #[test]
@@ -933,10 +1003,10 @@ mod tests {
         let net = path_network(9);
         let program = PulseProgram { rounds: 5 };
         let reference = Simulator::sequential().run(&net, &program).unwrap();
-        let backend = LoopbackBackend::new(pulse_registry(), 3).with_workers(2);
+        let backend = LoopbackBackend::new(test_registry(), 3).with_workers(2);
         let simulator = sim(2);
-        let first = simulator.run_epoch_on(&net, &program, &backend).unwrap();
-        let second = simulator.run_epoch_on(&net, &program, &backend).unwrap();
+        let first = simulator.run_wire_on(&net, &program, &backend).unwrap();
+        let second = simulator.run_wire_on(&net, &program, &backend).unwrap();
         assert_eq!(first, reference);
         assert_eq!(second, reference);
     }
@@ -953,10 +1023,10 @@ mod tests {
         for every in [0usize, 1, 2, 5] {
             for die in 1..=14usize {
                 let faults = FaultPlan { die_after_replies: Some(die), ..FaultPlan::none() };
-                let backend = LoopbackBackend::new(pulse_registry(), 2)
+                let backend = LoopbackBackend::new(test_registry(), 2)
                     .with_workers(2)
                     .with_faults(faults);
-                let run = sim(every).run_epoch_on(&net, &program, &backend).unwrap();
+                let run = sim(every).run_wire_on(&net, &program, &backend).unwrap();
                 assert_eq!(run, reference, "checkpoint every {every}, die after {die}");
             }
         }
@@ -967,53 +1037,90 @@ mod tests {
         let net = path_network(9);
         let program = PulseProgram { rounds: 5 };
         let reference = Simulator::sequential().run(&net, &program).unwrap();
-        let faults = FaultPlan {
-            duplicate_replies: (0..40).collect(),
-            reorder_seed: Some(11),
-            ..FaultPlan::none()
-        };
-        let backend = LoopbackBackend::new(pulse_registry(), 4)
-            .with_workers(2)
-            .with_faults(faults);
-        let run = sim(2).run_epoch_on(&net, &program, &backend).unwrap();
-        assert_eq!(run, reference);
-    }
-
-    #[test]
-    fn an_exhausted_respawn_budget_is_a_typed_error() {
-        let net = path_network(6);
-        let program = PulseProgram { rounds: 5 };
-        let faults = FaultPlan { die_after_replies: Some(3), ..FaultPlan::none() };
-        let backend = LoopbackBackend::new(pulse_registry(), 2)
-            .with_workers(1)
-            .with_max_retries(0)
-            .with_faults(faults);
-        match sim(2).run_epoch_on(&net, &program, &backend) {
-            Err(SimError::Transport(TransportError::RetriesExhausted { .. })) => {}
-            other => panic!("expected exhausted retries, got {other:?}"),
+        for mode in MODES {
+            let faults = FaultPlan {
+                duplicate_replies: (0..40).collect(),
+                reorder_seed: Some(11),
+                ..FaultPlan::none()
+            };
+            let backend = LoopbackBackend::new(test_registry(), 4)
+                .with_workers(2)
+                .with_mode(mode)
+                .with_faults(faults);
+            let run = sim(2).run_wire_on(&net, &program, &backend).unwrap();
+            assert_eq!(run, reference, "{mode:?}");
         }
     }
 
     #[test]
-    fn run_typed_epoch_dispatches_in_process_kinds() {
-        let net = path_network(10);
-        let program = PulseProgram { rounds: 4 };
-        let reference = Simulator::sequential().run(&net, &program).unwrap();
-        let registry = pulse_registry();
-        for backend in [
-            BackendKind::Sequential,
-            BackendKind::ScopedThreads,
-            BackendKind::Sharded { shards: 3 },
-            BackendKind::Loopback { shards: 3 },
-        ] {
-            let run = Simulator::with_config(SimulatorConfig {
-                backend,
-                checkpoint: CheckpointPolicy::every(2),
-                ..SimulatorConfig::default()
-            })
-            .run_typed_epoch(&net, &program, &registry)
-            .unwrap();
-            assert_eq!(run, reference, "{backend:?}");
+    fn an_unknown_program_id_is_refused_by_the_worker() {
+        // The distsim registry serves gather only; the relay program must be
+        // refused with a typed worker error naming the program.
+        let net = path_network(4);
+        let program = RelayProgram { boost: 0 };
+        for mode in MODES {
+            let backend = LoopbackBackend::new(distsim_registry(), 2).with_mode(mode);
+            match Simulator::sequential().run_wire_on(&net, &program, &backend) {
+                Err(SimError::Transport(TransportError::Worker { message, .. })) => {
+                    assert!(message.contains(RELAY_PROGRAM_ID), "unexpected message: {message}");
+                }
+                other => panic!("{mode:?}: expected an unknown-program error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reply_codec_rejects_wrong_counts_bad_tags_and_bad_send_targets() {
+        let net = path_network(4);
+        let program = RelayProgram { boost: 0 };
+        let running = [true; 4];
+        let inboxes: Vec<Vec<(usize, u64)>> = vec![Vec::new(); 4];
+        let resident: Vec<ResidentSlot<RelayProgram>> = (0..4).map(|_| Mutex::new(None)).collect();
+        let stage = SimEpochStage {
+            program: &program,
+            network: &net,
+            round: 0,
+            snapshot: false,
+            token: 1,
+            running: &running,
+            inboxes: &inboxes,
+            resident: &resident,
+        };
+        let shard = Shard { index: 0, start: 0, end: 2 };
+        let reply = |steps: Vec<EpochStep<RelayProgram>>| {
+            let mut out = Vec::new();
+            encode_actions(&program, &steps, &mut out);
+            out
+        };
+        let send =
+            |to: usize, message: Option<u64>| EpochAction::Send { list: vec![(to, 1, message)] };
+
+        // Node 0 sends to its in-shard neighbour 1 (payload elided), node 1
+        // to its out-of-shard neighbour 2 (payload shipped): well formed.
+        let good = reply(vec![(0, send(1, None)), (1, send(2, Some(5)))]);
+        assert!(stage.decode_reply(&shard, &good).is_ok());
+        // Every truncation of it is a typed error.
+        for cut in 0..good.len() {
+            assert!(stage.decode_reply(&shard, &good[..cut]).is_err(), "cut at {cut}");
+        }
+        // A reply for one node where two were running.
+        let short = reply(vec![(0, EpochAction::Idle)]);
+        assert!(stage.decode_reply(&shard, &short).is_err());
+        // An unknown action tag.
+        let mut bad_tag = Vec::new();
+        put_usize(&mut bad_tag, 2);
+        put_usize(&mut bad_tag, 0);
+        put_u8(&mut bad_tag, 99);
+        assert!(stage.decode_reply(&shard, &bad_tag).is_err());
+        // A `Send` to a node that is not the sender's neighbour, and to one
+        // past the end of the network: typed decode errors, never a host
+        // panic during delivery.
+        for target in [3usize, 99] {
+            let bad = reply(vec![(0, send(target, Some(5))), (1, EpochAction::Idle)]);
+            match stage.decode_reply(&shard, &bad) {
+                Err(TransportError::Wire(WireError::Decode { .. })) => {}
+                other => panic!("target {target}: expected a decode error, got {other:?}"),
+            }
         }
     }
 

@@ -11,19 +11,18 @@
 //! * [`Simulator::run`] / [`Simulator::run_on`] execute closure-shaped
 //!   [`NodeProgram`]s in-process (shared-memory state) — the reference path;
 //! * [`Simulator::run_typed`] / [`Simulator::run_wire_on`] execute
-//!   [`WireProgram`]s through the `mmlp/sim-round@1` wire stage, so the
-//!   transport backends genuinely ship every round's `(state, inbox)` across
-//!   the byte (or process) boundary and exchange inter-shard message batches
-//!   through the [`ShardDriver`](mmlp_parallel::ShardDriver)'s deterministic
-//!   by-`(round, shard, seq)` merge.  The conformance suite asserts both
-//!   tiers are bit-identical, message count for message count.
+//!   [`WireProgram`]s through the worker-resident `mmlp/sim-epoch@1` wire
+//!   stage: workers keep their node range's states between rounds, jobs
+//!   ship only inter-shard message batches, and worker death is recovered
+//!   by checkpoint/restore (see [`crate::sim_epoch`]).  The conformance
+//!   suite asserts both tiers are bit-identical, message count for message
+//!   count.
 
 use crate::network::Network;
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
 use crate::sim_epoch::{
     next_run_token, CheckpointPolicy, EpochAction, ResidentSlot, SimEpochStage,
 };
-use crate::wire_round::SimRoundStage;
 use mmlp_parallel::wire::WireError;
 use mmlp_parallel::{
     backend_map, pooled_subprocess_backend, BackendKind, LoopbackBackend, ParallelConfig,
@@ -43,8 +42,9 @@ pub struct SimulatorConfig {
     pub parallel: ParallelConfig,
     /// Which execution backend runs the per-round node steps.
     pub backend: BackendKind,
-    /// How often the worker-resident tier ([`Simulator::run_epoch_on`])
-    /// checkpoints resident state back to the host.
+    /// How often the wire tier ([`Simulator::run_wire_on`]) asks workers to
+    /// checkpoint their resident state back to the host, which bounds the
+    /// replay after a worker death.
     pub checkpoint: CheckpointPolicy,
 }
 
@@ -113,7 +113,7 @@ pub struct SimulationResult<O> {
 }
 
 /// The [`Ticket`] a simulator epoch admitted onto a multi-tenant
-/// [`SolveService`] resolves to ([`Simulator::submit_typed_epoch`]).
+/// [`SolveService`] resolves to ([`Simulator::submit_typed`]).
 pub type EpochTicket<O> = Ticket<Result<SimulationResult<O>, SimError>>;
 
 impl<O> SimulationResult<O> {
@@ -166,18 +166,14 @@ impl Simulator {
         network: &Network,
         program: &P,
     ) -> Result<SimulationResult<P::Output>, SimError> {
-        match self.config.backend {
-            BackendKind::Sequential => self.run_on(network, program, &mmlp_parallel::Sequential),
-            BackendKind::ScopedThreads => self.run_on(
-                network,
-                program,
-                &mmlp_parallel::ScopedThreads::new(self.config.parallel),
-            ),
-            BackendKind::Sharded { shards } => self.run_on(
-                network,
-                program,
-                &mmlp_parallel::Sharded::new(shards, self.config.parallel),
-            ),
+        let shards = match self.config.backend {
+            BackendKind::Sequential => {
+                return self.run_on(network, program, &mmlp_parallel::Sequential)
+            }
+            BackendKind::ScopedThreads => {
+                let backend = mmlp_parallel::ScopedThreads::new(self.config.parallel);
+                return self.run_on(network, program, &backend);
+            }
             // Closure-shaped node programs carry arbitrary state and cannot
             // be serialised, so for *this* entry point the transport kinds
             // run their rounds in-process on the plan-equivalent fixed-shard
@@ -185,20 +181,12 @@ impl Simulator {
             // Typed-message programs go through [`Simulator::run_typed`] /
             // [`Simulator::run_wire_on`] instead, where rounds genuinely
             // cross the byte and process boundary.
-            BackendKind::Loopback { shards } => self.run_on(
-                network,
-                program,
-                &mmlp_parallel::Sharded::new(shards, self.config.parallel),
-            ),
-            BackendKind::Subprocess { workers, .. } => self.run_on(
-                network,
-                program,
-                &mmlp_parallel::Sharded::new(
-                    workers * mmlp_parallel::SUBPROCESS_SHARDS_PER_WORKER,
-                    self.config.parallel,
-                ),
-            ),
-        }
+            BackendKind::Sharded { shards } | BackendKind::Loopback { shards } => shards,
+            BackendKind::Subprocess { workers, .. } => {
+                workers * mmlp_parallel::SUBPROCESS_SHARDS_PER_WORKER
+            }
+        };
+        self.run_on(network, program, &mmlp_parallel::Sharded::new(shards, self.config.parallel))
     }
 
     /// Runs `program` on an explicit [`SolveBackend`] — the same extension
@@ -213,25 +201,15 @@ impl Simulator {
         let n = network.num_nodes();
         let states: Vec<Mutex<Option<P::State>>> =
             (0..n).map(|v| Mutex::new(Some(program.init(v, network)))).collect();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut halting_round: Vec<usize> = vec![0; n];
+        let mut tally = Tally::new(n);
         // inboxes[v] = messages to be delivered to v at the start of the
         // current round, sorted by sender.
         let mut inboxes: Vec<Vec<(usize, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
         let mut running: Vec<usize> = (0..n).collect();
-
-        let mut messages: u64 = 0;
-        let mut message_units: u64 = 0;
-        let mut messages_per_round: Vec<u64> = Vec::new();
         let mut round = 0usize;
 
         while !running.is_empty() {
-            if round >= self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    still_running: running.len(),
-                });
-            }
+            self.check_round_limit(round, &running)?;
 
             // Step every running node (sharded over the backend); the
             // per-node state is protected by its own uncontended mutex.
@@ -248,58 +226,54 @@ impl Simulator {
                 inboxes[node].clear();
             }
 
-            let (still_running, round_messages) = deliver_round(
-                network,
-                round,
-                &running,
-                actions,
-                &mut inboxes,
-                &mut outputs,
-                &mut halting_round,
-                &mut message_units,
-            );
-            // Halted nodes drop their state.
-            for &node in &running {
-                if outputs[node].is_some() {
-                    *states[node].lock() = None;
+            let mut outgoing = Vec::new();
+            let mut still_running = Vec::with_capacity(running.len());
+            for (&node, action) in running.iter().zip(actions) {
+                match action {
+                    Action::Broadcast(message) => {
+                        let units = message.size_units();
+                        for &to in network.neighbors(node) {
+                            outgoing.push((node, to, units, Some(message.clone())));
+                        }
+                        still_running.push(node);
+                    }
+                    Action::Send(list) => {
+                        for (to, message) in list {
+                            assert_neighbor(network, node, to);
+                            outgoing.push((node, to, message.size_units(), Some(message)));
+                        }
+                        still_running.push(node);
+                    }
+                    Action::Idle => still_running.push(node),
+                    Action::Halt(output) => {
+                        tally.halt(node, round, output);
+                        // Halted nodes drop their state.
+                        *states[node].lock() = None;
+                    }
                 }
             }
-            messages += round_messages;
-            messages_per_round.push(round_messages);
+            tally.deliver(outgoing, &mut inboxes);
             running = still_running;
             round += 1;
         }
 
-        Ok(SimulationResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every node halted with an output"))
-                .collect(),
-            rounds: round,
-            halting_round,
-            messages,
-            message_units,
-            messages_per_round,
-        })
+        Ok(tally.finish(round))
     }
 
     /// Runs a [`WireProgram`] on the backend selected in the configuration,
     /// resolving the transport kinds against `registry` (which must serve
-    /// [`STAGE_SIM_ROUND`](crate::wire_round::STAGE_SIM_ROUND) for this
-    /// program — e.g. [`distsim_registry`](crate::wire_round::distsim_registry)
+    /// [`STAGE_SIM_EPOCH`](crate::sim_epoch::STAGE_SIM_EPOCH) for this
+    /// program — e.g. [`distsim_registry`](crate::sim_epoch::distsim_registry)
     /// for the programs this crate defines, or the engine registry of
     /// `mmlp-algorithms` for its algorithm programs).
     ///
     /// Unlike [`Simulator::run`], the transport kinds here genuinely cross
-    /// the boundary: every round's states and inboxes are encoded, shipped
-    /// (in memory under fault injection for `Loopback`, over real worker
-    /// stdio for `Subprocess`) and the returned states and message batches
-    /// decoded and merged deterministically.
+    /// the boundary (in memory under fault injection for `Loopback`, over
+    /// real worker stdio for `Subprocess`); see [`Simulator::run_wire_on`].
     ///
     /// # Errors
     ///
-    /// [`SimError::RoundLimitExceeded`] as for [`Simulator::run`], plus
-    /// [`SimError::Transport`] when the backend's transport fails.
+    /// As for [`Simulator::run_wire_on`].
     pub fn run_typed<P: WireProgram>(
         &self,
         network: &Network,
@@ -333,169 +307,21 @@ impl Simulator {
         }
     }
 
-    /// Runs a [`WireProgram`] with every round submitted as the
-    /// `mmlp/sim-round@1` [`WireStage`](mmlp_parallel::WireStage) on an
-    /// explicit [`SolveBackend`].
+    /// Admits a [`run_typed`](Simulator::run_typed) run onto a multi-tenant
+    /// [`SolveService`] for `tenant`, returning the [`Ticket`] its
+    /// [`SimulationResult`] will arrive on.
     ///
-    /// The host keeps the authoritative per-node states; each round it plans
-    /// node-range shards over the running set, ships every node's
-    /// `(state, inbox)` through the backend and merges the returned
-    /// `(state, outbox)` steps in shard order (the driver's by-sequence
-    /// ordered merge makes that order deterministic even under reordered or
-    /// duplicated replies).  Cross-shard messages therefore flow through the
-    /// driver between rounds instead of shared memory — and because every
-    /// codec is exact-bit, the results are bit-identical to
-    /// [`Simulator::run_on`], message count for message count.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RoundLimitExceeded`] as for [`Simulator::run`], plus
-    /// [`SimError::Transport`] when the backend's transport fails.
-    pub fn run_wire_on<P: WireProgram, B: SolveBackend>(
-        &self,
-        network: &Network,
-        program: &P,
-        backend: &B,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
-        let n = network.num_nodes();
-        let mut states: Vec<Option<P::State>> =
-            (0..n).map(|v| Some(program.init(v, network))).collect();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut halting_round: Vec<usize> = vec![0; n];
-        let mut inboxes: Vec<Vec<(usize, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut running: Vec<usize> = (0..n).collect();
-
-        let mut messages: u64 = 0;
-        let mut message_units: u64 = 0;
-        let mut messages_per_round: Vec<u64> = Vec::new();
-        let mut round = 0usize;
-
-        while !running.is_empty() {
-            if round >= self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    still_running: running.len(),
-                });
-            }
-
-            let stage = SimRoundStage {
-                program,
-                network,
-                round,
-                nodes: &running,
-                states: &states,
-                inboxes: &inboxes,
-            };
-            let run = backend.execute_stage(running.len(), &stage)?;
-
-            // Merge in shard order (shards partition `running` contiguously,
-            // so this is exactly `running` order): install the new states and
-            // collect the actions for delivery.
-            let mut actions = Vec::with_capacity(running.len());
-            let mut next = 0usize;
-            for shard_steps in run.outputs {
-                for step in shard_steps {
-                    let node = running[next];
-                    next += 1;
-                    states[node] = step.state;
-                    actions.push(step.action);
-                }
-            }
-            debug_assert_eq!(next, running.len(), "every running node stepped exactly once");
-
-            // Clear the inboxes we just consumed.
-            for &node in &running {
-                inboxes[node].clear();
-            }
-
-            let (still_running, round_messages) = deliver_round(
-                network,
-                round,
-                &running,
-                actions,
-                &mut inboxes,
-                &mut outputs,
-                &mut halting_round,
-                &mut message_units,
-            );
-            messages += round_messages;
-            messages_per_round.push(round_messages);
-            running = still_running;
-            round += 1;
-        }
-
-        Ok(SimulationResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every node halted with an output"))
-                .collect(),
-            rounds: round,
-            halting_round,
-            messages,
-            message_units,
-            messages_per_round,
-        })
-    }
-
-    /// Runs a [`WireProgram`] on the **worker-resident** epoch tier
-    /// (`mmlp/sim-epoch@1`) on the backend selected in the configuration —
-    /// the counterpart of [`Simulator::run_typed`] for
-    /// [`Simulator::run_epoch_on`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run_epoch_on`].
-    pub fn run_typed_epoch<P: WireProgram>(
-        &self,
-        network: &Network,
-        program: &P,
-        registry: &Arc<StageRegistry>,
-    ) -> Result<SimulationResult<P::Output>, SimError>
-    where
-        P::State: Clone + Sync,
-    {
-        match self.config.backend {
-            BackendKind::Sequential => {
-                self.run_epoch_on(network, program, &mmlp_parallel::Sequential)
-            }
-            BackendKind::ScopedThreads => self.run_epoch_on(
-                network,
-                program,
-                &mmlp_parallel::ScopedThreads::new(self.config.parallel),
-            ),
-            BackendKind::Sharded { shards } => self.run_epoch_on(
-                network,
-                program,
-                &mmlp_parallel::Sharded::new(shards, self.config.parallel),
-            ),
-            BackendKind::Loopback { shards } => {
-                self.run_epoch_on(network, program, &LoopbackBackend::new(registry.clone(), shards))
-            }
-            BackendKind::Subprocess { workers, overlapped } => {
-                let backend = pooled_subprocess_backend(workers, overlapped, registry);
-                self.run_epoch_on(network, program, &*backend)
-            }
-        }
-    }
-
-    /// Admits a [`run_typed_epoch`](Simulator::run_typed_epoch) run onto a
-    /// multi-tenant [`SolveService`] for `tenant`, returning the [`Ticket`]
-    /// its [`SimulationResult`] will arrive on.
-    ///
-    /// The admitted epoch dispatches through the ordinary backend
-    /// machinery, so simulator rounds and engine solves queue onto the same
-    /// fairness lanes and — under
-    /// [`BackendKind::Subprocess`] — the same process-wide worker pool.
+    /// The admitted run dispatches through the ordinary backend machinery,
+    /// so simulator rounds and engine solves queue onto the same fairness
+    /// lanes and — under [`BackendKind::Subprocess`] — the same process-wide
+    /// worker pool.
     ///
     /// # Errors
     ///
     /// [`ServiceError::QueueFull`] (the service's typed backpressure) or
     /// [`ServiceError::Draining`]; simulation failures arrive inside the
     /// [`Ticket`].
-    pub fn submit_typed_epoch<P>(
+    pub fn submit_typed<P>(
         &self,
         service: &SolveService,
         tenant: TenantId,
@@ -511,26 +337,29 @@ impl Simulator {
         let simulator = self.clone();
         let network = network.clone();
         let registry = registry.clone();
-        service.submit(tenant, move || simulator.run_typed_epoch(&network, &program, &registry))
+        service.submit(tenant, move || simulator.run_typed(&network, &program, &registry))
     }
 
-    /// Runs a [`WireProgram`] with **worker-resident state**: every round is
-    /// submitted as the `mmlp/sim-epoch@1` stage, whose jobs carry only the
-    /// round number and the shard's inter-shard message batches — per-node
-    /// state lives on the workers between rounds instead of travelling with
-    /// every job (the steady-state wire volume drops from
-    /// `O(state + messages)` to `O(messages)` per round).
+    /// Runs a [`WireProgram`] on an explicit [`SolveBackend`] with
+    /// **worker-resident state**: every round is submitted as the
+    /// `mmlp/sim-epoch@1` stage, whose jobs carry only the round number and
+    /// the shard's inter-shard message batches — per-node state lives on the
+    /// workers between rounds, so the steady-state wire volume is
+    /// `O(messages)` per round.
     ///
     /// The plan covers all nodes every round with fixed shard boundaries, so
     /// each worker's resident states keep describing the same node range.
     /// Correctness under worker death comes from the checkpoint/restore
     /// protocol: per the configured [`CheckpointPolicy`], jobs ask workers
-    /// to stream state snapshots back, and the backend's
-    /// [`RecoveryLog`] replays `snapshot + buffered jobs` into respawned
-    /// workers.  The in-process backends run the identical resident-state
-    /// protocol against host-side shard mirrors, so every backend is
-    /// bit-identical to [`Simulator::run_on`] — the conformance and fault
-    /// suites assert this, including under scripted worker deaths.
+    /// to stream state snapshots back, and the [`RecoveryLog`] handed to
+    /// [`SolveBackend::execute_stage_recoverable`] replays
+    /// `snapshot + buffered jobs` into respawned workers.  A backend that
+    /// does not override that method runs each round through its plain
+    /// [`execute_stage`](SolveBackend::execute_stage).  The in-process
+    /// backends run the identical resident-state protocol against host-side
+    /// shard mirrors, so every backend is bit-identical to
+    /// [`Simulator::run_on`] — the conformance and fault suites assert
+    /// this, including under scripted worker deaths.
     ///
     /// A full checkpoint-and-recover round trip — snapshots every 2 rounds,
     /// a worker killed mid-run, results asserted identical to the
@@ -572,7 +401,7 @@ impl Simulator {
     ///     checkpoint: CheckpointPolicy::every(2),
     ///     ..SimulatorConfig::default()
     /// });
-    /// let run = sim.run_epoch_on(&network, &program, &backend).unwrap();
+    /// let run = sim.run_wire_on(&network, &program, &backend).unwrap();
     /// assert_eq!(run.outputs, reference.outputs);
     /// assert_eq!(run.messages, reference.messages);
     /// assert_eq!(run.rounds, reference.rounds);
@@ -583,7 +412,21 @@ impl Simulator {
     /// [`SimError::RoundLimitExceeded`] as for [`Simulator::run`], plus
     /// [`SimError::Transport`] when the backend's transport fails (for
     /// example when worker deaths exhaust the retry budget).
-    pub fn run_epoch_on<P: WireProgram, B: SolveBackend>(
+    pub fn run_wire_on<P: WireProgram, B: SolveBackend>(
+        &self,
+        network: &Network,
+        program: &P,
+        backend: &B,
+    ) -> Result<SimulationResult<P::Output>, SimError>
+    where
+        P::State: Clone + Sync,
+    {
+        backend.reserve_workers(|| self.run_epochs(network, program, backend))
+    }
+
+    /// The body of [`Simulator::run_wire_on`], run while `backend`'s
+    /// workers are reserved for this simulation's resident state.
+    fn run_epochs<P: WireProgram, B: SolveBackend>(
         &self,
         network: &Network,
         program: &P,
@@ -594,8 +437,7 @@ impl Simulator {
     {
         let n = network.num_nodes();
         let token = next_run_token();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut halting_round: Vec<usize> = vec![0; n];
+        let mut tally = Tally::new(n);
         let mut inboxes: Vec<Vec<(usize, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
         let mut running: Vec<usize> = (0..n).collect();
         let mut running_flags: Vec<bool> = vec![true; n];
@@ -603,19 +445,10 @@ impl Simulator {
         // never has more shards than items, so `n` slots suffice).
         let resident: Vec<ResidentSlot<P>> = (0..n).map(|_| Mutex::new(None)).collect();
         let mut recovery = RecoveryLog::new();
-
-        let mut messages: u64 = 0;
-        let mut message_units: u64 = 0;
-        let mut messages_per_round: Vec<u64> = Vec::new();
         let mut round = 0usize;
 
         while !running.is_empty() {
-            if round >= self.config.max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    still_running: running.len(),
-                });
-            }
+            self.check_round_limit(round, &running)?;
 
             let stage = SimEpochStage {
                 program,
@@ -652,15 +485,12 @@ impl Simulator {
                 inboxes[node].clear();
             }
 
-            // The epoch tier's delivery mirrors `deliver_round` exactly but
-            // works from the reply summaries: halts and the outgoing queue
-            // first, then counting and — only where a copy crosses its
-            // sender's shard boundary — materialising the payload into the
-            // recipient's inter-shard inbox.  Intra-shard copies were
-            // already delivered by the worker from its retained outbox; the
-            // host just counts them from the shipped size units.
-            let mut round_messages = 0u64;
-            let mut outgoing: Vec<(usize, usize, u64, Option<P::Message>)> = Vec::new();
+            // Delivery works from the reply summaries: a copy's payload is
+            // present only where it crosses its sender's shard boundary.
+            // Intra-shard copies were already delivered by the worker from
+            // its retained outbox; the host just counts them from the
+            // shipped size units.
+            let mut outgoing = Vec::new();
             let mut still_running = Vec::with_capacity(running.len());
             for (&node, (start, end, action)) in running.iter().zip(actions) {
                 match action {
@@ -674,120 +504,114 @@ impl Simulator {
                     }
                     EpochAction::Send { list } => {
                         for (to, units, message) in list {
-                            assert!(
-                                network.neighbors(node).contains(&to),
-                                "node {node} attempted to message non-neighbour {to}"
-                            );
+                            assert_neighbor(network, node, to);
                             outgoing.push((node, to, units, message));
                         }
                         still_running.push(node);
                     }
                     EpochAction::Idle => still_running.push(node),
                     EpochAction::Halt(output) => {
-                        outputs[node] = Some(output);
-                        halting_round[node] = round;
+                        tally.halt(node, round, output);
+                        running_flags[node] = false;
                     }
                 }
             }
-            for (from, to, units, payload) in outgoing {
-                // Halted nodes no longer receive messages.
-                if outputs[to].is_none() {
-                    round_messages += 1;
-                    message_units += units;
-                    if let Some(message) = payload {
-                        inboxes[to].push((from, message));
-                    }
-                }
-            }
-            for inbox in inboxes.iter_mut() {
-                inbox.sort_by_key(|(from, _)| *from);
-            }
-
-            for &node in &running {
-                if outputs[node].is_some() {
-                    running_flags[node] = false;
-                }
-            }
-            messages += round_messages;
-            messages_per_round.push(round_messages);
+            tally.deliver(outgoing, &mut inboxes);
             running = still_running;
             round += 1;
         }
 
-        Ok(SimulationResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every node halted with an output"))
-                .collect(),
-            rounds: round,
-            halting_round,
-            messages,
-            message_units,
-            messages_per_round,
-        })
+        Ok(tally.finish(round))
+    }
+
+    fn check_round_limit(&self, round: usize, running: &[usize]) -> Result<(), SimError> {
+        if round >= self.config.max_rounds {
+            return Err(SimError::RoundLimitExceeded {
+                limit: self.config.max_rounds,
+                still_running: running.len(),
+            });
+        }
+        Ok(())
     }
 }
 
-/// Applies one round's actions: records halts, queues outgoing messages,
-/// delivers them to nodes that have not halted and keeps every inbox sorted
-/// by sender.  Returns the still-running nodes and the number of messages
-/// delivered this round.
-///
-/// This is the single delivery path shared by the closure tier
-/// ([`Simulator::run_on`]) and the wire tier ([`Simulator::run_wire_on`]):
-/// actions are applied in `running` order, which both tiers produce, so the
-/// two tiers are message-for-message identical.
-#[allow(clippy::too_many_arguments)]
-fn deliver_round<M: Clone + MessageSize, O>(
-    network: &Network,
-    round: usize,
-    running: &[usize],
-    actions: Vec<Action<M, O>>,
-    inboxes: &mut [Vec<(usize, M)>],
-    outputs: &mut [Option<O>],
-    halting_round: &mut [usize],
-    message_units: &mut u64,
-) -> (Vec<usize>, u64) {
-    let mut round_messages = 0u64;
-    let mut outgoing: Vec<(usize, usize, M)> = Vec::new();
-    let mut still_running = Vec::with_capacity(running.len());
-    for (&node, action) in running.iter().zip(actions) {
-        match action {
-            Action::Broadcast(msg) => {
-                for &to in network.neighbors(node) {
-                    outgoing.push((node, to, msg.clone()));
-                }
-                still_running.push(node);
-            }
-            Action::Send(list) => {
-                for (to, msg) in list {
-                    assert!(
-                        network.neighbors(node).contains(&to),
-                        "node {node} attempted to message non-neighbour {to}"
-                    );
-                    outgoing.push((node, to, msg));
-                }
-                still_running.push(node);
-            }
-            Action::Idle => still_running.push(node),
-            Action::Halt(output) => {
-                outputs[node] = Some(output);
-                halting_round[node] = round;
-            }
+/// A node program may only message its neighbours (remote replies are
+/// validated when decoded, so this fires only for in-process programs).
+fn assert_neighbor(network: &Network, node: usize, to: usize) {
+    assert!(
+        network.neighbors(node).contains(&to),
+        "node {node} attempted to message non-neighbour {to}"
+    );
+}
+
+/// The host's per-run bookkeeping, shared by both tiers so they are
+/// message-for-message identical: outputs, halting rounds and the message
+/// accounting.
+struct Tally<O> {
+    outputs: Vec<Option<O>>,
+    halting_round: Vec<usize>,
+    messages: u64,
+    message_units: u64,
+    messages_per_round: Vec<u64>,
+}
+
+impl<O> Tally<O> {
+    fn new(n: usize) -> Self {
+        Self {
+            outputs: (0..n).map(|_| None).collect(),
+            halting_round: vec![0; n],
+            messages: 0,
+            message_units: 0,
+            messages_per_round: Vec::new(),
         }
     }
-    for (from, to, msg) in outgoing {
-        // Halted nodes no longer receive messages.
-        if outputs[to].is_none() {
-            round_messages += 1;
-            *message_units += msg.size_units();
-            inboxes[to].push((from, msg));
+
+    fn halt(&mut self, node: usize, round: usize, output: O) {
+        self.outputs[node] = Some(output);
+        self.halting_round[node] = round;
+    }
+
+    /// Delivers one round's queued copies `(from, to, units, payload)`,
+    /// queued in `running` order, after the round's halts were recorded:
+    /// copies to halted nodes are dropped, the rest are counted and their
+    /// payloads (absent for copies a worker delivered itself) appended to
+    /// the recipient's inbox, which stays sorted by sender.
+    fn deliver<M>(
+        &mut self,
+        outgoing: Vec<(usize, usize, u64, Option<M>)>,
+        inboxes: &mut [Vec<(usize, M)>],
+    ) {
+        let mut round_messages = 0u64;
+        for (from, to, units, payload) in outgoing {
+            if self.outputs[to].is_none() {
+                round_messages += 1;
+                self.message_units += units;
+                if let Some(message) = payload {
+                    inboxes[to].push((from, message));
+                }
+            }
+        }
+        for inbox in inboxes.iter_mut() {
+            inbox.sort_by_key(|(from, _)| *from);
+        }
+        self.messages += round_messages;
+        self.messages_per_round.push(round_messages);
+    }
+
+    fn finish(self, rounds: usize) -> SimulationResult<O> {
+        SimulationResult {
+            outputs: self
+                .outputs
+                .into_iter()
+                .map(|o| o.expect("every node halted with an output"))
+                .collect(),
+            rounds,
+            halting_round: self.halting_round,
+            messages: self.messages,
+            message_units: self.message_units,
+            messages_per_round: self.messages_per_round,
         }
     }
-    for inbox in inboxes.iter_mut() {
-        inbox.sort_by_key(|(from, _)| *from);
-    }
-    (still_running, round_messages)
 }
 
 #[cfg(test)]

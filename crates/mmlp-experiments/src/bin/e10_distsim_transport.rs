@@ -4,8 +4,8 @@
 //! Three demonstrations:
 //!
 //! 1. **Round throughput by backend × shards.**  The radius-2 gathering
-//!    protocol runs on a 30×30 weighted grid through the typed-message tier
-//!    (`mmlp/sim-round@1`) on every backend — in-process, the in-memory
+//!    protocol runs on a 30×30 weighted grid through the worker-resident
+//!    wire tier (`mmlp/sim-epoch@1`) on every backend — in-process, the in-memory
 //!    loopback transport and real worker processes (this very binary,
 //!    re-executed with `--mmlp-worker`) in lockstep and overlapped dispatch
 //!    — at shard counts {1, 2, 5}.  Every run is asserted bit-identical
@@ -17,8 +17,8 @@
 //!    computation across the same transports.
 //! 3. **Fault injection mid-simulation.**  Duplicated and reordered
 //!    inter-round message batches plus a killed worker, absorbed by the
-//!    driver's ordered merge and respawn-and-resend retry — identical
-//!    results, asserted.
+//!    driver's ordered merge and its checkpoint-restore-and-replay recovery
+//!    — identical results, asserted.
 //!
 //! Writes `BENCH_e10_distsim.json` with every number in the tables.
 
@@ -32,12 +32,12 @@ use std::time::Instant;
 
 fn main() {
     // Worker mode: when the subprocess backend re-executes this binary with
-    // `--mmlp-worker`, serve the engine stages (including `mmlp/sim-round@1`)
+    // `--mmlp-worker`, serve the engine stages (including `mmlp/sim-epoch@1`)
     // over stdio and exit.
     if serve_engine_worker_if_requested() {
         return;
     }
-    // Workers must speak `mmlp/sim-round@1`, which this binary does and a
+    // Workers must speak `mmlp/sim-epoch@1`, which this binary does and a
     // stale sibling `mmlp-worker` build might not (it would answer
     // "unknown stage" — the versioning rule working as intended, but not
     // what this experiment is measuring).  Pin the worker binary to the
@@ -214,7 +214,8 @@ fn main() {
         report.push(&format!("fault/{label}"), &[("identical", 1.0), ("wall_ms", wall_ms)]);
     }
     println!("\nDuplicated inter-round message batches are dropped by the ordered merge;");
-    println!("a killed worker is respawned and its round jobs resent — views never change.");
+    println!("a killed worker is respawned and its resident state restored by replay —");
+    println!("views never change.");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

@@ -1,25 +1,21 @@
 //! Experiment E11 — worker-resident simulator state with checkpointed
 //! rounds.
 //!
-//! The state-in-job tier measured by E10 ships every node's state with
-//! every round's jobs and back with every reply, which caps transport-backed
-//! simulations around an order of magnitude below the in-process backends.
-//! The `mmlp/sim-epoch@1` tier keeps state resident on the workers: jobs
-//! carry only inter-shard message batches, replies only actions with
+//! The `mmlp/sim-epoch@1` wire tier keeps state resident on the workers:
+//! jobs carry only inter-shard message batches, replies only actions with
 //! boundary-crossing payloads, and correctness under worker death comes
-//! from the checkpoint/restore protocol instead of respawn-and-resend.
+//! from the checkpoint/restore protocol.
 //!
 //! Three demonstrations:
 //!
-//! 1. **State-in-job vs worker-resident rounds/sec.**  The gathering
-//!    protocol on a 30×30 weighted grid, warmed, over the loopback and
-//!    subprocess transports at radii 2 and 3: the same run first through
-//!    `mmlp/sim-round@1` (PR 5's tier), then through `mmlp/sim-epoch@1` at
-//!    several checkpoint cadences.  Every run is asserted bit-identical to
-//!    the sequential closure-tier simulator; the table reports rounds/sec
-//!    and the speed-up of resident state over state-in-job.  The deeper the
-//!    gather, the bigger the per-node state the old tier must ship — and
-//!    the wider the gap.
+//! 1. **Closure tier vs worker-resident rounds/sec.**  The gathering
+//!    protocol on a 30×30 weighted grid, warmed, at radii 2 and 3: first
+//!    the in-process closure-tier reference (shared-memory state, no
+//!    transport), then the resident tier over the loopback and subprocess
+//!    transports at several checkpoint cadences.  Every run is asserted
+//!    bit-identical to the sequential closure-tier simulator; the table
+//!    reports rounds/sec and each resident row's rate relative to the
+//!    closure tier, which prices the whole transport boundary.
 //! 2. **The checkpoint cadence knob.**  Snapshot traffic is the only
 //!    steady-state overhead of the resident tier, so `every_rounds` sweeps
 //!    from "never" to "every round" to price it.
@@ -121,14 +117,14 @@ fn main() {
         });
     report.push_env(&[("subprocess_available", f64::from(u8::from(subprocess_available)))]);
 
-    banner("E11a: state-in-job vs worker-resident rounds (30x30 weighted grid)");
+    banner("E11a: closure tier vs worker-resident rounds (30x30 weighted grid)");
     print_row(
         &["tier / transport".into(), "rounds".into(), "wall ms".into(), "rounds/sec".into()],
         &COLS,
     );
 
     let registry = engine_registry();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
+    let mut ratios: Vec<(String, f64)> = Vec::new();
     for radius in [2usize, 3] {
         let program = GatherProgram::new(&inst, radius);
         let reference = Simulator::sequential()
@@ -138,6 +134,10 @@ fn main() {
             "-- gather radius {radius}: {} rounds, {} messages --",
             reference.rounds, reference.messages
         );
+        let closure_rps =
+            time_row(&format!("r{radius} closure / in-process"), &mut report, &reference, &|| {
+                Simulator::sequential().run(&network, &program).unwrap()
+            });
 
         // Transport backends are constructed once per radius (pools persist
         // across the warm-up and timed runs, so the timed numbers measure
@@ -146,44 +146,33 @@ fn main() {
         let subprocess = SubprocessBackend::new(2, registry.clone())
             .with_command(WorkerCommand::CurrentExe)
             .with_shards(4);
-
-        let sim = Simulator::sequential();
-        for (transport, state_in_job, epoch_run) in [
+        for (transport, run) in [
             (
                 "loopback-4s-2w",
-                &(|| sim.run_wire_on(&network, &program, &loopback).unwrap())
-                    as &dyn Fn() -> SimulationResult<LocalView>,
                 &(|every: usize| {
-                    epoch_sim(every).run_epoch_on(&network, &program, &loopback).unwrap()
+                    epoch_sim(every).run_wire_on(&network, &program, &loopback).unwrap()
                 }) as &dyn Fn(usize) -> SimulationResult<LocalView>,
             ),
             (
                 "subprocess-4s-2w",
-                &(|| sim.run_wire_on(&network, &program, &subprocess).unwrap()),
                 &(|every: usize| {
-                    epoch_sim(every).run_epoch_on(&network, &program, &subprocess).unwrap()
+                    epoch_sim(every).run_wire_on(&network, &program, &subprocess).unwrap()
                 }),
             ),
         ] {
-            let wire_rps = time_row(
-                &format!("r{radius} state-in-job / {transport}"),
-                &mut report,
-                &reference,
-                state_in_job,
-            );
             for every in [0usize, 16, 4, 1] {
                 let cadence = if every == 0 { "never".to_string() } else { format!("k={every}") };
                 let label = format!("r{radius} resident {cadence} / {transport}");
-                let epoch_rps = time_row(&label, &mut report, &reference, &|| epoch_run(every));
-                let speedup = epoch_rps / wire_rps;
-                speedups.push((label.clone(), speedup));
-                report.push(&format!("speedup/{label}"), &[("vs_state_in_job", speedup)]);
+                let epoch_rps = time_row(&label, &mut report, &reference, &|| run(every));
+                let ratio = epoch_rps / closure_rps;
+                ratios.push((label.clone(), ratio));
+                report.push(&format!("ratio/{label}"), &[("vs_closure", ratio)]);
             }
         }
     }
     println!();
-    for (label, speedup) in &speedups {
-        println!("  {label}: {}x over state-in-job", fmt(*speedup, 2));
+    for (label, ratio) in &ratios {
+        println!("  {label}: {}x the closure tier's rounds/sec", fmt(*ratio, 2));
     }
 
     banner("E11b: recovery under scripted worker death (radius-2 gather)");
@@ -202,7 +191,7 @@ fn main() {
             .with_workers(2)
             .with_faults(FaultPlan { die_after_replies: Some(die), ..FaultPlan::none() });
         let clock = Instant::now();
-        let run = epoch_sim(every).run_epoch_on(&network, &program, &backend).unwrap();
+        let run = epoch_sim(every).run_wire_on(&network, &program, &backend).unwrap();
         let wall_ms = clock.elapsed().as_secs_f64() * 1e3;
         assert_eq!(run.outputs, reference.outputs, "{label} changed the views");
         assert_eq!(run.messages, reference.messages, "{label} changed the message count");

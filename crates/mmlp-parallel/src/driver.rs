@@ -24,14 +24,13 @@
 //! [`TransportError`]; no failure path hangs or panics.
 //!
 //! The distributed simulator's inter-round message exchange rides this
-//! merge unchanged: every round is one stage run (`mmlp/sim-round@1`),
+//! merge unchanged: every round is one stage run (`mmlp/sim-epoch@1`),
 //! which claims a fresh contiguous sequence range in shard order, so a
 //! round's message batches are merged deterministically by
 //! `(round, shard, seq)` — a duplicated or reordered batch is recognised
-//! and dropped exactly like any other shard reply, and a lost one is
-//! recomputed by a respawned worker from the resent `(state, inbox)` bytes
-//! (programs keep no worker-resident state, which is what makes the
-//! respawn-and-resend retry correct for simulations too).
+//! and dropped exactly like any other shard reply.  Its workers keep state
+//! between rounds, though, so a lost worker is recovered by the
+//! checkpoint-and-replay path below rather than by a plain resend.
 //!
 //! # Recoverable stages: checkpoints and replay
 //!

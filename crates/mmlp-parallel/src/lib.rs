@@ -386,6 +386,21 @@ pub trait SolveBackend: Sync {
         let _ = recovery;
         self.execute_stage(items, stage)
     }
+
+    /// Runs `body` — one sequence of
+    /// [`execute_stage_recoverable`](SolveBackend::execute_stage_recoverable)
+    /// calls sharing worker-resident state, such as one simulation — with
+    /// this backend's workers reserved for it.
+    ///
+    /// A worker holds one context per stage id, so two such sequences
+    /// interleaving on one shared backend would evict each other's resident
+    /// state mid-run.  The transport backends therefore admit one reserved
+    /// sequence at a time; stages outside a reservation still interleave
+    /// freely.  The default just runs `body`: the in-process backends keep
+    /// resident state in the caller's stage, not in the backend.
+    fn reserve_workers<T>(&self, body: impl FnOnce() -> T) -> T {
+        body()
+    }
 }
 
 /// Splits `items` into (at most) `shards` contiguous ranges of near-equal
@@ -574,6 +589,8 @@ pub struct LoopbackBackend {
     driver: ShardDriver,
     faults: FaultPlan,
     pool: Mutex<(LinkPool, Vec<usize>)>,
+    /// Held for the length of a [`SolveBackend::reserve_workers`] body.
+    reserved: Mutex<()>,
 }
 
 impl std::fmt::Debug for LoopbackBackend {
@@ -597,6 +614,7 @@ impl LoopbackBackend {
             driver: ShardDriver { workers: shards, mode: DriverMode::Overlapped, max_retries: 1 },
             faults: FaultPlan::none(),
             pool: Mutex::new((LinkPool::new(), Vec::new())),
+            reserved: Mutex::new(()),
         }
     }
 
@@ -691,6 +709,11 @@ impl SolveBackend for LoopbackBackend {
     ) -> Result<StageRun<S::Output>, TransportError> {
         self.run_driver(items, stage, Some(recovery))
     }
+
+    fn reserve_workers<T>(&self, body: impl FnOnce() -> T) -> T {
+        let _reserved = self.reserved.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        body()
+    }
 }
 
 /// How many shards each subprocess worker gets by default: a little
@@ -729,6 +752,8 @@ pub struct SubprocessBackend {
     availability: OnceLock<Option<String>>,
     pool: Mutex<LinkPool>,
     fallback: Mutex<Option<LoopbackBackend>>,
+    /// Held for the length of a [`SolveBackend::reserve_workers`] body.
+    reserved: Mutex<()>,
 }
 
 impl std::fmt::Debug for SubprocessBackend {
@@ -758,6 +783,7 @@ impl SubprocessBackend {
             availability: OnceLock::new(),
             pool: Mutex::new(LinkPool::new()),
             fallback: Mutex::new(None),
+            reserved: Mutex::new(()),
         }
     }
 
@@ -917,6 +943,11 @@ impl SolveBackend for SubprocessBackend {
         recovery: &mut RecoveryLog,
     ) -> Result<StageRun<S::Output>, TransportError> {
         self.run_driver(items, stage, Some(recovery))
+    }
+
+    fn reserve_workers<T>(&self, body: impl FnOnce() -> T) -> T {
+        let _reserved = self.reserved.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        body()
     }
 }
 

@@ -140,7 +140,7 @@ pub mod prelude {
     pub use crate::distsim::{
         distsim_registry, gather_views, Action, CheckpointPolicy, EpochTicket, GatherMessage,
         GatherProgram, LocalView, Network, NodeProgram, SimError, SimulationResult, Simulator,
-        SimulatorConfig, WireProgram, GATHER_PROGRAM_ID, STAGE_SIM_EPOCH, STAGE_SIM_ROUND,
+        SimulatorConfig, WireProgram, GATHER_PROGRAM_ID, STAGE_SIM_EPOCH,
     };
     pub use crate::hypergraph::{
         communication_hypergraph, growth_profile, Graph, GrowthProfile, Hypergraph,

@@ -15,20 +15,25 @@
 //!   sandbox cannot fork/exec);
 //! * shard counts — {1, 2, 5} wherever the backend has a shard knob;
 //! * driver modes — lockstep and overlapped dispatch for the transport
-//!   backends.
+//!   backends;
+//! * checkpoint cadences — never, every round and every few rounds, so
+//!   snapshot rounds and snapshot-free rounds both cross the boundary.
 //!
 //! Programs: the gathering protocol (`mmlp/prog/gather@1`) and the
 //! gather-then-decide rule program (`mmlp/prog/local-rule@1`) for both of
 //! the paper's algorithms, whose solutions are additionally asserted equal
 //! to the centralised computations.
 //!
-//! The worker-resident tier (`mmlp/sim-epoch@1`) is held to the same bar:
-//! the epoch matrix sweeps backends × checkpoint cadences and the recovery
-//! fault cases live in `transport_faults.rs`.
+//! Every wire run rides the worker-resident `mmlp/sim-epoch@1` stage — a
+//! regression test below asserts no path ships the retired
+//! `mmlp/sim-round@1` stage, which no registry serves.  The recovery fault
+//! cases live in `transport_faults.rs`.
 
+use maxmin_local_lp::parallel::{StageRun, WireStage};
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 fn workload() -> MaxMinInstance {
     grid_instance(
@@ -121,8 +126,8 @@ fn gather_matrix_subprocess_backends_are_bit_identical() {
 fn backend_kind_dispatch_runs_typed_programs_across_the_boundary() {
     // The `SimulatorConfig::backend` path: every selector — including the
     // transport kinds, which used to silently fall back to an in-process
-    // split for simulator rounds — now produces identical gather results
-    // with the rounds genuinely crossing the boundary.
+    // split for simulator rounds — produces identical gather results with
+    // the rounds genuinely crossing the boundary.
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
     let reference = Simulator::sequential().run(&network, &program).unwrap();
@@ -200,52 +205,42 @@ fn wire_tier_respects_the_round_limit() {
         backend: BackendKind::Sequential,
         ..SimulatorConfig::default()
     });
-    match simulator.run_wire_on(&network, &program, &Sequential) {
-        Err(SimError::RoundLimitExceeded { limit: 2, .. }) => {}
-        other => panic!("expected the round limit, got {other:?}"),
+    let expect_limit =
+        |label: &str, result: Result<SimulationResult<LocalView>, SimError>| match result {
+            Err(SimError::RoundLimitExceeded { limit: 2, still_running }) => {
+                assert_eq!(still_running, inst.num_agents(), "{label}");
+            }
+            other => panic!("{label}: expected the round limit, got {other:?}"),
+        };
+    expect_limit("sequential", simulator.run_wire_on(&network, &program, &Sequential));
+    for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
+        let backend = LoopbackBackend::new(engine_registry(), 3).with_workers(2).with_mode(mode);
+        expect_limit(&format!("{mode:?}"), simulator.run_wire_on(&network, &program, &backend));
     }
 }
 
 #[test]
 fn epoch_tier_matrix_is_bit_identical_to_the_sequential_simulator() {
-    // The worker-resident tier (`mmlp/sim-epoch@1`): state stays on the
-    // workers between rounds, jobs carry only inter-shard message batches,
-    // and several checkpoint cadences are swept so snapshot rounds and
-    // snapshot-free rounds both cross the boundary.
+    // The checkpoint-cadence dimension of the matrix: snapshots every
+    // round, every few rounds and never, on loopback workers in both
+    // driver modes (the in-process backends keep their mirrors on the
+    // host and never snapshot, so the cadence cannot change their runs).
     let inst = workload();
-    let simulator = Simulator::sequential();
     for radius in [1usize, 2] {
         let (network, program) = gather_setup(&inst, radius);
-        let reference = simulator.run(&network, &program).unwrap();
-
+        let reference = Simulator::sequential().run(&network, &program).unwrap();
         for every in [0usize, 1, 4] {
             let epoch_sim = Simulator::with_config(SimulatorConfig {
                 parallel: ParallelConfig::sequential(),
                 checkpoint: CheckpointPolicy::every(every),
                 ..SimulatorConfig::default()
             });
-            let run = epoch_sim.run_epoch_on(&network, &program, &Sequential).unwrap();
-            assert_run_identical(&format!("epoch sequential k={every}"), &run, &reference);
-
-            for shards in [1usize, 2, 5] {
-                let backend = Sharded::new(shards, ParallelConfig::with_threads(3));
-                let run = epoch_sim.run_epoch_on(&network, &program, &backend).unwrap();
-                assert_run_identical(
-                    &format!("epoch sharded-{shards} k={every}"),
-                    &run,
-                    &reference,
-                );
-            }
-
             for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
                 let backend =
                     LoopbackBackend::new(engine_registry(), 5).with_workers(2).with_mode(mode);
-                let run = epoch_sim.run_epoch_on(&network, &program, &backend).unwrap();
-                assert_run_identical(
-                    &format!("epoch loopback-{mode:?} k={every}"),
-                    &run,
-                    &reference,
-                );
+                let run = epoch_sim.run_wire_on(&network, &program, &backend).unwrap();
+                let label = format!("loopback-{mode:?} r={radius} k={every}");
+                assert_run_identical(&label, &run, &reference);
             }
         }
     }
@@ -253,6 +248,9 @@ fn epoch_tier_matrix_is_bit_identical_to_the_sequential_simulator() {
 
 #[test]
 fn epoch_tier_runs_on_subprocess_workers_and_backend_kind_dispatch() {
+    // A short checkpoint cadence through every `BackendKind`: on the
+    // transport kinds the workers stream snapshots back every other round
+    // while their resident state keeps serving the run.
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
     let reference = Simulator::sequential().run(&network, &program).unwrap();
@@ -269,7 +267,180 @@ fn epoch_tier_runs_on_subprocess_workers_and_backend_kind_dispatch() {
             checkpoint: CheckpointPolicy::every(2),
             ..SimulatorConfig::default()
         });
-        let run = simulator.run_typed_epoch(&network, &program, &engine_registry()).unwrap();
+        let run = simulator.run_typed(&network, &program, &engine_registry()).unwrap();
         assert_run_identical(&format!("epoch {backend:?}"), &run, &reference);
     }
+}
+
+#[test]
+fn concurrent_simulations_on_one_shared_backend_keep_their_resident_state() {
+    // Workers hold one sim-epoch context each, so simulations sharing a
+    // backend must not interleave their rounds: a second program's context
+    // would evict the first one's resident states mid-run.  Threads race
+    // different programs through one shared loopback backend and through
+    // the process-wide subprocess pool that `BackendKind` resolves to.
+    let inst = workload();
+    let setups: Vec<_> = [1usize, 2, 3].iter().map(|&r| gather_setup(&inst, r)).collect();
+    let references: Vec<_> = setups
+        .iter()
+        .map(|(net, prog)| Simulator::sequential().run(net, prog).unwrap())
+        .collect();
+    let shared = LoopbackBackend::new(engine_registry(), 4).with_workers(2);
+    let pooled = Simulator::with_config(SimulatorConfig {
+        backend: BackendKind::Subprocess { workers: 2, overlapped: true },
+        ..SimulatorConfig::default()
+    });
+    std::thread::scope(|scope| {
+        for ((network, program), reference) in setups.iter().zip(&references) {
+            let shared = &shared;
+            let pooled = &pooled;
+            scope.spawn(move || {
+                for _ in 0..3 {
+                    let run =
+                        Simulator::sequential().run_wire_on(network, program, shared).unwrap();
+                    assert_run_identical("shared loopback", &run, reference);
+                    let run = pooled.run_typed(network, program, &engine_registry()).unwrap();
+                    assert_run_identical("pooled subprocess", &run, reference);
+                }
+            });
+        }
+    });
+}
+
+/// A backend that forwards to another and records the stage id of every
+/// stage it runs.  Like perfbench's tracing wrapper it forwards only
+/// `execute_stage`, so the simulator's recoverable calls reach the inner
+/// backend through the trait's default.
+struct Recorded<'a, B> {
+    inner: &'a B,
+    stages: Mutex<Vec<&'static str>>,
+}
+
+impl<'a, B: SolveBackend> Recorded<'a, B> {
+    fn new(inner: &'a B) -> Self {
+        Self { inner, stages: Mutex::new(Vec::new()) }
+    }
+
+    fn record<R>(&self, run: StageRun<R>) -> StageRun<R> {
+        self.stages.lock().unwrap().push(run.stats.stage);
+        run
+    }
+
+    fn stages(&self) -> Vec<&'static str> {
+        self.stages.lock().unwrap().clone()
+    }
+}
+
+impl<B: SolveBackend> SolveBackend for Recorded<'_, B> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn plan(&self, items: usize) -> Vec<Shard> {
+        self.inner.plan(items)
+    }
+
+    fn execute<R, F>(&self, stage: &'static str, items: usize, f: F) -> StageRun<R>
+    where
+        R: Send,
+        F: Fn(&Shard) -> R + Sync,
+    {
+        self.record(self.inner.execute(stage, items, f))
+    }
+
+    fn execute_stage<S: WireStage>(
+        &self,
+        items: usize,
+        stage: &S,
+    ) -> Result<StageRun<S::Output>, TransportError> {
+        Ok(self.record(self.inner.execute_stage(items, stage)?))
+    }
+}
+
+/// Runs `program` through `backend` behind the recording wrapper and
+/// returns the outputs plus every stage id that was shipped.
+fn recorded_run<B: SolveBackend>(
+    network: &Network,
+    program: &LocalRuleProgram,
+    backend: &B,
+) -> (Vec<f64>, Vec<&'static str>) {
+    let recorded = Recorded::new(backend);
+    let run = Simulator::sequential().run_wire_on(network, program, &recorded).unwrap();
+    (run.outputs, recorded.stages())
+}
+
+#[test]
+fn run_wire_rule_ships_only_the_resident_stage() {
+    let inst = workload();
+    let simplex = SimplexOptions::default();
+    let rule = WireRule::LocalAveraging { radius: 1 };
+    let central = local_averaging(&inst, &LocalAveragingOptions::sequential(1)).unwrap();
+    // `run_wire_rule` spelled out, with the recording backend between the
+    // simulator and each transport.
+    let (h, _) = communication_hypergraph(&inst);
+    let network = Network::from_hypergraph(&h);
+    let program = LocalRuleProgram::new(&inst, rule, simplex);
+    let loopback = LoopbackBackend::new(engine_registry(), 4).with_workers(2);
+    let subprocess = SubprocessBackend::new(2, engine_registry());
+    for (label, (outputs, stages)) in [
+        ("loopback", recorded_run(&network, &program, &loopback)),
+        ("subprocess", recorded_run(&network, &program, &subprocess)),
+    ] {
+        assert!(!stages.is_empty(), "{label}: no stage recorded");
+        assert!(stages.iter().all(|&s| s == STAGE_SIM_EPOCH), "{label}: shipped {stages:?}");
+        assert_eq!(outputs, central.solution.activities(), "{label}");
+    }
+    // The entry point itself, on both transport kinds: it resolves against
+    // the engine registry, which serves no other simulator stage, so a
+    // successful run never shipped the retired one.
+    for backend in [
+        BackendKind::Loopback { shards: 4 },
+        BackendKind::Subprocess { workers: 2, overlapped: true },
+    ] {
+        let simulator =
+            Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() });
+        let run = run_wire_rule(&inst, rule, &simplex, &simulator).unwrap();
+        assert_eq!(run.solution, central.solution, "{backend:?}");
+    }
+}
+
+/// A stage that claims the retired state-in-job simulator id.
+struct RetiredSimRound;
+
+impl WireStage for RetiredSimRound {
+    type Output = ();
+
+    fn stage_id(&self) -> &'static str {
+        "mmlp/sim-round@1"
+    }
+
+    fn encode_context(&self, _out: &mut Vec<u8>) {}
+
+    fn encode_job(&self, _shard: &Shard, _out: &mut Vec<u8>) {}
+
+    fn decode_reply(&self, _shard: &Shard, _payload: &[u8]) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn run_local(&self, _shard: &Shard) {}
+}
+
+#[test]
+fn a_worker_asked_for_the_retired_sim_round_stage_answers_unknown_stage() {
+    let expect_unknown = |label: &str, result: Result<StageRun<()>, TransportError>| match result {
+        Err(TransportError::Worker { message, .. }) => {
+            assert!(
+                message.contains("does not know stage `mmlp/sim-round@1`"),
+                "{label}: {message}"
+            );
+        }
+        other => panic!("{label}: expected an unknown-stage worker error, got {other:?}"),
+    };
+    for (label, registry) in [("engine", engine_registry()), ("distsim", distsim_registry())] {
+        let backend = LoopbackBackend::new(registry, 2);
+        expect_unknown(label, backend.execute_stage(4, &RetiredSimRound));
+    }
+    // The real worker binary (loopback where the sandbox cannot spawn).
+    let backend = SubprocessBackend::new(2, engine_registry());
+    expect_unknown("subprocess", backend.execute_stage(4, &RetiredSimRound));
 }

@@ -420,7 +420,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // ---- The simulator's message/state codecs (the `mmlp/sim-round@1`
+    // ---- The simulator's message/state codecs (the `mmlp/sim-epoch@1`
     // payloads): identity round-trips, frame-level byte-flip detection and
     // noise rejection, mirroring the engine payload properties above. ----
 

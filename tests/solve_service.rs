@@ -128,7 +128,7 @@ fn engine_solves_and_simulator_epochs_share_one_service() {
         checkpoint: CheckpointPolicy::every(2),
         ..SimulatorConfig::default()
     })
-    .submit_typed_epoch(service.inner(), 2, &network, program, &engine_registry())
+    .submit_typed(service.inner(), 2, &network, program, &engine_registry())
     .unwrap();
 
     let batch = solve_ticket.wait().unwrap().unwrap();

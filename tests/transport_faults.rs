@@ -227,11 +227,17 @@ fn an_aborted_run_leaves_the_same_pooled_backend_usable() {
 }
 
 // ---------------------------------------------------------------------------
-// The distributed simulator under injected faults: inter-round message
-// batches are shard replies of the `mmlp/sim-round@1` stage, so the
-// driver's ordered merge and respawn-and-resend retry must absorb (or
-// surface, typed) every fault without ever changing a view.
+// The distributed simulator under injected faults.  Its wire tier
+// (`mmlp/sim-epoch@1`) keeps node state on the workers between rounds and
+// ships inter-round message batches as shard replies, so duplicated or
+// reordered batches must be dropped by the driver's ordered merge, and a
+// killed worker loses state: recovery comes from the checkpoint/restore
+// protocol — the driver restores the newest snapshot into the respawned
+// worker and replays the buffered job frames since that epoch.  Every case
+// runs in both driver modes.
 // ---------------------------------------------------------------------------
+
+const MODES: [DriverMode; 2] = [DriverMode::Lockstep, DriverMode::Overlapped];
 
 fn gather_setup(inst: &MaxMinInstance, radius: usize) -> (Network, GatherProgram) {
     let (h, _) = communication_hypergraph(inst);
@@ -262,8 +268,9 @@ fn duplicated_inter_round_message_batch_is_dropped_by_the_ordered_merge() {
 
 #[test]
 fn killed_worker_mid_simulation_is_respawned_to_an_identical_result() {
-    // State travels with every round's jobs, so a respawned worker simply
-    // recomputes the lost batches from the resent bytes.
+    // The default simulator's cadence: the kill lands before the first
+    // checkpoint, so the respawned worker is rebuilt by replaying the
+    // buffered jobs from round 0.
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
     let simulator = Simulator::sequential();
@@ -298,14 +305,6 @@ fn simulation_death_past_the_retry_budget_is_a_typed_error() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The worker-resident tier (`mmlp/sim-epoch@1`) under injected faults: state
-// lives on the workers between rounds, so killing a worker loses state and
-// recovery must come from the checkpoint/restore protocol — the driver
-// restores the newest snapshot into the respawned worker and replays the
-// buffered job frames since that epoch.
-// ---------------------------------------------------------------------------
-
 fn epoch_simulator(checkpoint_every: usize) -> Simulator {
     Simulator::with_config(SimulatorConfig {
         parallel: ParallelConfig::sequential(),
@@ -329,19 +328,21 @@ fn epoch_kill_at_round_k_recovers_bit_identically_at_every_checkpoint_phase() {
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
     let reference = Simulator::sequential().run(&network, &program).unwrap();
-    for every in [0usize, 1, 2] {
-        for die in 1..=8usize {
-            let backend = loopback(FaultPlan { die_after_replies: Some(die), ..FaultPlan::none() })
-                .with_max_retries(1);
-            let run = epoch_simulator(every).run_epoch_on(&network, &program, &backend).unwrap();
-            assert_eq!(run.outputs, reference.outputs, "every={every} die={die}");
-            assert_eq!(run.messages, reference.messages, "every={every} die={die}");
-            assert_eq!(run.rounds, reference.rounds, "every={every} die={die}");
-            assert_eq!(
-                run.messages_per_round, reference.messages_per_round,
-                "every={every} die={die}"
-            );
-            assert_eq!(run.halting_round, reference.halting_round, "every={every} die={die}");
+    for mode in MODES {
+        for every in [0usize, 1, 2] {
+            for die in 1..=8usize {
+                let label = format!("{mode:?} every={every} die={die}");
+                let backend =
+                    loopback(FaultPlan { die_after_replies: Some(die), ..FaultPlan::none() })
+                        .with_mode(mode)
+                        .with_max_retries(1);
+                let run = epoch_simulator(every).run_wire_on(&network, &program, &backend).unwrap();
+                assert_eq!(run.outputs, reference.outputs, "{label}");
+                assert_eq!(run.messages, reference.messages, "{label}");
+                assert_eq!(run.rounds, reference.rounds, "{label}");
+                assert_eq!(run.messages_per_round, reference.messages_per_round, "{label}");
+                assert_eq!(run.halting_round, reference.halting_round, "{label}");
+            }
         }
     }
 }
@@ -354,29 +355,36 @@ fn epoch_duplicated_and_reordered_frames_are_absorbed() {
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
     let reference = Simulator::sequential().run(&network, &program).unwrap();
-    let backend = loopback(FaultPlan {
-        duplicate_replies: (0..60).collect(),
-        reorder_seed: Some(29),
-        ..FaultPlan::none()
-    });
-    let run = epoch_simulator(2).run_epoch_on(&network, &program, &backend).unwrap();
-    assert_eq!(run.outputs, reference.outputs);
-    assert_eq!(run.messages, reference.messages);
-    assert_eq!(run.messages_per_round, reference.messages_per_round);
+    for mode in MODES {
+        let backend = loopback(FaultPlan {
+            duplicate_replies: (0..60).collect(),
+            reorder_seed: Some(29),
+            ..FaultPlan::none()
+        })
+        .with_mode(mode);
+        let run = epoch_simulator(2).run_wire_on(&network, &program, &backend).unwrap();
+        assert_eq!(run.outputs, reference.outputs, "{mode:?}");
+        assert_eq!(run.messages, reference.messages, "{mode:?}");
+        assert_eq!(run.rounds, reference.rounds, "{mode:?}");
+        assert_eq!(run.messages_per_round, reference.messages_per_round, "{mode:?}");
+    }
 }
 
 #[test]
 fn epoch_death_past_the_retry_budget_is_a_typed_error() {
     // With a zero respawn budget the restore protocol never gets to run:
-    // the death must surface as the same typed error as the stateless tier,
-    // not a hang or a wrong answer.
+    // the death must surface as a typed error, not a hang or a wrong
+    // answer.
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
-    let backend =
-        loopback(FaultPlan { die_after_replies: Some(1), ..FaultPlan::none() }).with_max_retries(0);
-    match epoch_simulator(2).run_epoch_on(&network, &program, &backend) {
-        Err(SimError::Transport(TransportError::RetriesExhausted { .. })) => {}
-        other => panic!("expected exhausted retries, got {other:?}"),
+    for mode in MODES {
+        let backend = loopback(FaultPlan { die_after_replies: Some(1), ..FaultPlan::none() })
+            .with_mode(mode)
+            .with_max_retries(0);
+        match epoch_simulator(2).run_wire_on(&network, &program, &backend) {
+            Err(SimError::Transport(TransportError::RetriesExhausted { .. })) => {}
+            other => panic!("{mode:?}: expected exhausted retries, got {other:?}"),
+        }
     }
 }
 
@@ -384,10 +392,13 @@ fn epoch_death_past_the_retry_budget_is_a_typed_error() {
 fn epoch_truncated_frame_is_a_typed_error() {
     let inst = workload();
     let (network, program) = gather_setup(&inst, 2);
-    let backend = loopback(FaultPlan { truncate_replies: vec![1], ..FaultPlan::none() });
-    match epoch_simulator(2).run_epoch_on(&network, &program, &backend) {
-        Err(SimError::Transport(TransportError::Wire(WireError::Truncated { .. }))) => {}
-        other => panic!("expected a truncation error, got {other:?}"),
+    for mode in MODES {
+        let backend =
+            loopback(FaultPlan { truncate_replies: vec![1], ..FaultPlan::none() }).with_mode(mode);
+        match epoch_simulator(2).run_wire_on(&network, &program, &backend) {
+            Err(SimError::Transport(TransportError::Wire(WireError::Truncated { .. }))) => {}
+            other => panic!("{mode:?}: expected a truncation error, got {other:?}"),
+        }
     }
 }
 
