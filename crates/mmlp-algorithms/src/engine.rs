@@ -1651,7 +1651,11 @@ fn present_agent_list(
 /// `MaxMinInstance::restrict_to_agents` does, and without allocating per
 /// ball.  [`build`](PresentSweep::build) turns the buffers into the LP (9),
 /// which the sweep's caller does only for first occurrences.
-struct PresentSweep<'a> {
+///
+/// The one ball-LP builder: the engine's present stage and the per-agent
+/// view rule ([`crate::local_averaging::local_averaging_activity_from_view`])
+/// both build their LPs here, so the two present bit-identical LPs.
+pub(crate) struct PresentSweep<'a> {
     instance: &'a MaxMinInstance,
     /// `local_of[v]` is `v`'s index in the current ball, `usize::MAX` for
     /// agents outside it.
@@ -1673,7 +1677,7 @@ struct PresentSweep<'a> {
 }
 
 impl<'a> PresentSweep<'a> {
-    fn new(instance: &'a MaxMinInstance) -> Self {
+    pub(crate) fn new(instance: &'a MaxMinInstance) -> Self {
         Self {
             instance,
             local_of: vec![usize::MAX; instance.num_agents()],
@@ -1686,7 +1690,7 @@ impl<'a> PresentSweep<'a> {
     }
 
     /// Fills the buffers and the key for one (sorted) ball.
-    fn present(&mut self, ball: &[usize]) {
+    pub(crate) fn present(&mut self, ball: &[usize]) {
         let instance = self.instance;
         self.resources.clear();
         self.party_candidates.clear();
@@ -1746,10 +1750,15 @@ impl<'a> PresentSweep<'a> {
         }
     }
 
+    /// The number of parties lying entirely inside the ball last presented.
+    pub(crate) fn num_parties(&self) -> usize {
+        self.party_ends.len()
+    }
+
     /// The LP (9) of the ball last presented: resources clipped to the
     /// ball, parties kept only when their support lies entirely inside,
     /// agents the ball members in sorted order.
-    fn build(&self, ball_len: usize) -> MaxMinInstance {
+    pub(crate) fn build(&self, ball_len: usize) -> MaxMinInstance {
         let mut b =
             InstanceBuilder::with_capacity(ball_len, self.key[1] as usize, self.party_ends.len());
         let agents = b.add_agents(ball_len);

@@ -21,21 +21,26 @@
 //! ([`local_averaging_activity_from_view`]) that only looks at the agent's
 //! radius-`2R+1` view; the two produce identical solutions.
 //!
-//! The per-agent local LPs are dispatched through the batched local-LP
-//! engine ([`crate::engine`]): structurally identical ball LPs are detected
-//! by canonicalisation and solved once.  Because every mode of the engine
-//! solves the *canonical* presentation of each ball LP, the batched default,
-//! the [`SolveMode::NaivePerAgent`] reference mode and the view-based rule
-//! all produce bit-identical solutions; the engine's [`SolveStats`] are
+//! The central computation dispatches the per-agent local LPs through the
+//! batched local-LP engine ([`crate::engine`]): structurally identical ball
+//! LPs are detected by canonicalisation and solved once.  The view rule
+//! solves every ball LP of its own view, sharing nothing with other agents,
+//! but builds each with the engine's ball enumeration and presentation
+//! sweep — one ball-LP builder for both.  Because every path solves the
+//! *canonical* form of each ball LP, the batched default, the
+//! [`SolveMode::NaivePerAgent`] reference mode and the view-based rule all
+//! produce bit-identical solutions; the engine's [`SolveStats`] are
 //! surfaced in [`LocalAveragingResult::stats`].
 
-use crate::engine::{solve_local_lps, EngineError, LocalLpOptions, SolveMode, SolveStats};
+use crate::engine::{
+    solve_local_lps, EngineError, LocalLpOptions, PresentSweep, SolveMode, SolveStats,
+};
 use mmlp_core::canonical::canonical_form;
 use mmlp_core::{AgentId, InstanceBuilder, MaxMinInstance, PartyId, ResourceId, Solution};
 use mmlp_distsim::LocalView;
+use mmlp_hypergraph::{communication_hypergraph, BallEnumerator};
 use mmlp_lp::{solve_maxmin_with, SimplexOptions};
 use mmlp_parallel::{BackendKind, ParallelConfig};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Options of the local averaging algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -245,6 +250,10 @@ pub fn local_averaging(
 /// Section 5.1: "the agent j makes the following choice, which depends only
 /// on its radius 2R+1 neighbourhood").
 ///
+/// The rule rebuilds the fragment of the instance its view shows, then
+/// computes `V^j`, `β_j` and every ball LP (9) of `V^u ∋ j` with the
+/// engine's own ball enumeration and presentation sweep, each ball once.
+///
 /// # Panics
 ///
 /// Panics if the view's radius is smaller than `2·radius + 1`.
@@ -260,25 +269,36 @@ pub fn local_averaging_activity_from_view(
         2 * radius + 1,
         view.radius
     );
-    let reconstruction = ViewReconstruction::new(view);
-    let j_local = reconstruction.index_of(view.center);
+    let (fragment, agents) = view_fragment(view);
+    let j = agents.binary_search(&view.center).expect("the centre knows itself");
+    let (graph, _) = communication_hypergraph(&fragment);
+    let cache = graph.neighbor_cache();
+    let mut enumerator = BallEnumerator::new(&cache);
 
-    // V^j and the β_j statistics.
-    let v_j = reconstruction.ball(j_local, radius);
-    let own = view.knowledge(view.center).expect("the centre knows itself");
+    // V^j and the ball B(u, R) of every u ∈ V^j.  These balls lie within
+    // distance 2R of the centre, where the fragment is exact (see
+    // `view_fragment`), so each matches the ball in the full instance.
+    let v_j = enumerator.ball(j, radius);
+    let balls: Vec<Vec<usize>> = v_j.iter().map(|&u| enumerator.ball(u, radius)).collect();
+
+    // β_j = min_{i ∈ I_j} n_i / N_i.  The members of V_i are adjacent to j,
+    // hence in V^j (R ≥ 1).  `stamp[v] == i` marks `v` as counted in N_i.
     let mut beta = f64::INFINITY;
-    for (i, _) in &own.resources {
-        let members = reconstruction.resource_members(*i);
-        let n_i = members
-            .iter()
-            .map(|&m| reconstruction.ball(m, radius).len())
-            .min()
-            .expect("V_i contains the centre");
-        let mut union: Vec<usize> =
-            members.iter().flat_map(|&m| reconstruction.ball(m, radius)).collect();
-        union.sort_unstable();
-        union.dedup();
-        beta = beta.min(n_i as f64 / union.len() as f64);
+    let mut stamp = vec![usize::MAX; agents.len()];
+    for i in fragment.agent_resources(AgentId::new(j)) {
+        let mut n_i = usize::MAX;
+        let mut cap_n_i = 0usize;
+        for m in fragment.resource_support(i) {
+            let ball = &balls[v_j.binary_search(&m.index()).expect("V_i ⊆ V^j")];
+            n_i = n_i.min(ball.len());
+            for &v in ball {
+                if stamp[v] != i.index() {
+                    stamp[v] = i.index();
+                    cap_n_i += 1;
+                }
+            }
+        }
+        beta = beta.min(n_i as f64 / cap_n_i as f64);
     }
     if !beta.is_finite() {
         // No resource constraint (only possible in relaxed instances): the
@@ -290,148 +310,68 @@ pub fn local_averaging_activity_from_view(
     // ball LP is solved on its *canonical* presentation — exactly what the
     // batched engine does centrally — so the per-agent rule reproduces the
     // central computation bit for bit.
+    let mut sweep = PresentSweep::new(&fragment);
     let mut sum = 0.0;
-    for &u in &v_j {
-        let ball_u = reconstruction.ball(u, radius);
-        let (sub, members) = reconstruction.restricted_instance(&ball_u, u);
-        if sub.num_parties() == 0 {
+    for ball in &balls {
+        sweep.present(ball);
+        if sweep.num_parties() == 0 {
             continue;
         }
-        let form = canonical_form(&sub);
+        let form = canonical_form(&sweep.build(ball.len()));
         let opt = solve_maxmin_with(&form.instance, simplex)
             .expect("local LPs of validated instances are solvable");
-        let pos = members.binary_search(&view.center).expect("j ∈ V^u because u ∈ V^j");
+        let pos = ball.binary_search(&j).expect("j ∈ V^u because u ∈ V^j");
         sum += opt.solution.activity(AgentId::new(form.labelling[pos]));
     }
     beta / v_j.len() as f64 * sum
 }
 
-/// The structure of the instance fragment visible in a view: agents
-/// re-indexed locally, adjacency reconstructed from shared resource/party
-/// identifiers, and the visible supports.
-struct ViewReconstruction<'a> {
-    view: &'a LocalView,
-    agents: Vec<AgentId>,
-    adjacency: Vec<Vec<usize>>,
-    resources: BTreeMap<ResourceId, Vec<(AgentId, f64)>>,
-    parties: BTreeMap<PartyId, Vec<(AgentId, f64)>>,
-}
-
-impl<'a> ViewReconstruction<'a> {
-    fn new(view: &'a LocalView) -> Self {
-        let agents: Vec<AgentId> = view.known_agents().collect();
-        let index: BTreeMap<AgentId, usize> =
-            agents.iter().enumerate().map(|(idx, &v)| (v, idx)).collect();
-        let resources = view.visible_resources();
-        let parties = view.visible_parties();
-        let mut adjacency: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); agents.len()];
-        for members in resources.values().chain(parties.values()) {
-            for (a, _) in members {
-                for (b, _) in members {
-                    if a != b {
-                        adjacency[index[a]].insert(index[b]);
-                    }
-                }
-            }
-        }
-        Self {
-            view,
-            agents,
-            adjacency: adjacency.into_iter().map(|s| s.into_iter().collect()).collect(),
-            resources,
-            parties,
-        }
+/// The fragment of the instance a view shows, as an instance of its own:
+/// the view's agents in ascending global id order (returned alongside, so
+/// local index `l` is agent `agents[l]`), then every visible resource and
+/// party in ascending global id order, each with its visible members.
+///
+/// Because local indices and hyperedge order follow the global order, a ball
+/// presented from the fragment is bit-identical to the same ball presented
+/// from the full instance.  A hyperedge with a member beyond the view is
+/// clipped to its visible members, but no ball LP ever keeps one: a
+/// hyperedge with a member at distance `d < view.radius` has all its
+/// members within `d + 1 ≤ view.radius`, so a clipped one has its visible
+/// members all at distance exactly `view.radius ≥ 2R + 1`, outside every
+/// `B(u, R)` with `u ∈ V^j` (distance at most `2R`).
+fn view_fragment(view: &LocalView) -> (MaxMinInstance, Vec<AgentId>) {
+    let agents: Vec<AgentId> = view.known_agents().collect();
+    let mut resources: Vec<(ResourceId, usize, f64)> = Vec::new();
+    let mut parties: Vec<(PartyId, usize, f64)> = Vec::new();
+    for (local, &v) in agents.iter().enumerate() {
+        let knowledge = view.knowledge(v).expect("every known agent has a record");
+        resources.extend(knowledge.resources.iter().map(|&(i, a)| (i, local, a)));
+        parties.extend(knowledge.parties.iter().map(|&(k, c)| (k, local, c)));
     }
+    resources.sort_unstable_by_key(|&(i, local, _)| (i, local));
+    parties.sort_unstable_by_key(|&(k, local, _)| (k, local));
 
-    fn index_of(&self, v: AgentId) -> usize {
-        self.agents.binary_search(&v).expect("agent is in the view")
-    }
-
-    /// Ball of radius `r` around a local index, as sorted local indices.
-    /// Exact for balls that the view fully contains (radius of the centre
-    /// plus `r` at most the view radius).
-    fn ball(&self, center: usize, r: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.agents.len()];
-        dist[center] = 0;
-        let mut queue = VecDeque::from([center]);
-        while let Some(u) = queue.pop_front() {
-            if dist[u] >= r {
-                continue;
-            }
-            for &w in &self.adjacency[u] {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    queue.push_back(w);
-                }
-            }
+    let mut b = InstanceBuilder::with_capacity(agents.len(), resources.len(), parties.len());
+    let locals = b.add_agents(agents.len());
+    let mut previous = None;
+    let mut resource = ResourceId::new(0);
+    for &(i, local, a) in &resources {
+        if previous != Some(i) {
+            resource = b.add_resource();
+            previous = Some(i);
         }
-        (0..self.agents.len()).filter(|&v| dist[v] <= r).collect()
+        b.set_consumption(resource, locals[local], a);
     }
-
-    /// Visible members of a resource, as local indices.
-    fn resource_members(&self, i: ResourceId) -> Vec<usize> {
-        self.resources
-            .get(&i)
-            .map(|members| members.iter().map(|(v, _)| self.index_of(*v)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Builds the local LP sub-instance for the ball `ball_u` (local
-    /// indices): resources clipped to the ball, parties kept only when their
-    /// support lies entirely inside the ball and is certainly fully visible.
-    ///
-    /// Returns the sub-instance together with the original agent ids of its
-    /// agents (sorted ascending, matching the sub-instance's agent indices).
-    fn restricted_instance(&self, ball_u: &[usize], u: usize) -> (MaxMinInstance, Vec<AgentId>) {
-        let member_ids: Vec<AgentId> = ball_u.iter().map(|&l| self.agents[l]).collect();
-        let in_ball: BTreeSet<AgentId> = member_ids.iter().copied().collect();
-        let mut b = InstanceBuilder::with_capacity(
-            member_ids.len(),
-            self.resources.len(),
-            self.parties.len(),
-        );
-        let new_agents = b.add_agents(member_ids.len());
-        let local_index = |v: AgentId| member_ids.binary_search(&v).expect("agent in ball");
-
-        for members in self.resources.values() {
-            let kept: Vec<(AgentId, f64)> = members
-                .iter()
-                .filter(|(v, _)| in_ball.contains(v))
-                .map(|(v, a)| (*v, *a))
-                .collect();
-            if kept.is_empty() {
-                continue;
-            }
-            let i = b.add_resource();
-            for (v, a) in kept {
-                b.set_consumption(i, new_agents[local_index(v)], a);
-            }
+    let mut previous = None;
+    let mut party = PartyId::new(0);
+    for &(k, local, c) in &parties {
+        if previous != Some(k) {
+            party = b.add_party();
+            previous = Some(k);
         }
-        for members in self.parties.values() {
-            // The support is certainly fully visible iff one member is within
-            // view.radius − 1 of the view's centre; because every member we
-            // would keep is within `radius` of `u` and `u` is within
-            // `radius` of the centre, this always holds when the view radius
-            // is 2·radius + 1 — asserted here for safety.
-            let all_in_ball = members.iter().all(|(v, _)| in_ball.contains(v));
-            if !all_in_ball {
-                continue;
-            }
-            debug_assert!(
-                members
-                    .iter()
-                    .any(|(v, _)| self.view.distance(*v).unwrap_or(usize::MAX) < self.view.radius),
-                "party support visibility cannot be certified (dist from centre {})",
-                self.view.distance(self.agents[u]).unwrap_or(usize::MAX)
-            );
-            let k = b.add_party();
-            for (v, c) in members {
-                b.set_benefit(k, new_agents[local_index(*v)], *c);
-            }
-        }
-        let instance = b.build().expect("ball restriction preserves validity");
-        (instance, member_ids)
+        b.set_benefit(party, locals[local], c);
     }
+    (b.build().expect("a view of a valid instance shows a valid fragment"), agents)
 }
 
 #[cfg(test)]
@@ -440,7 +380,7 @@ mod tests {
     use crate::runner::views_direct;
     use crate::safe::safe_algorithm;
     use mmlp_core::bounds::theorem3_ratio;
-    use mmlp_hypergraph::{communication_hypergraph, growth_profile};
+    use mmlp_hypergraph::growth_profile;
     use mmlp_instances::{
         grid_instance, random_instance, sensor_network_instance, GridConfig, RandomInstanceConfig,
         SensorNetworkConfig,
@@ -565,8 +505,9 @@ mod tests {
             let local =
                 local_averaging_activity_from_view(view, radius, &SimplexOptions::default());
             let expected = central.solution.activities()[idx];
-            assert!(
-                (local - expected).abs() < 1e-9,
+            assert_eq!(
+                local.to_bits(),
+                expected.to_bits(),
                 "agent {idx}: view-based {local} vs central {expected}"
             );
         }

@@ -5,6 +5,11 @@
 //! backend in lockstep vs overlapped dispatch — what a synchronous round
 //! costs per boundary crossed.
 //!
+//! A third group times the local averaging rule on its own: every node of
+//! the 16×16 random-weight grid deciding from its radius-3 view at R = 1,
+//! which is the per-node work of the last round of
+//! `run_wire_rule(LocalAveraging { radius: 1 })`.
+//!
 //! The subprocess rows need a worker binary (`mmlp-worker` next to the
 //! target directory, or `MMLP_WORKER_BIN`); where the environment cannot
 //! spawn processes the backend's capability probe falls back to the
@@ -99,5 +104,30 @@ fn bench_sim_view_codecs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gather_rounds_on_grid15, bench_sim_view_codecs);
+fn bench_local_averaging_rule_on_grid16(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e10_local_averaging_rule_grid16_r1");
+    group.sample_size(10);
+    let radius = 1;
+    let cfg = GridConfig { side_lengths: vec![16, 16], torus: false, random_weights: true };
+    let inst = grid_instance(&cfg, &mut bench_rng(16));
+    let views = views_direct(&inst, 2 * radius + 1, &ParallelConfig::sequential());
+    let simplex = SimplexOptions::default();
+    group.bench_function("all_views_sequential", |b| {
+        b.iter(|| {
+            let total: f64 = views
+                .iter()
+                .map(|view| local_averaging_activity_from_view(view, radius, &simplex))
+                .sum();
+            std::hint::black_box(total)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_gather_rounds_on_grid15,
+    bench_sim_view_codecs,
+    bench_local_averaging_rule_on_grid16
+);
 criterion_main!(benches);

@@ -33,6 +33,7 @@
 
 use crate::ids::AgentId;
 use crate::instance::{Agent, MaxMinInstance, Party, Resource};
+use std::cell::OnceCell;
 
 /// Sentinel opening each resource section inside flat LP encodings (both
 /// the canonical encoding here and the engine's presentation keys).
@@ -114,15 +115,23 @@ pub fn canonical_form(instance: &MaxMinInstance) -> CanonicalForm {
             instance: instance.clone(),
         };
     }
+    canonicalise(instance).0
+}
+
+/// [`canonical_form`] together with the number of leaves (discrete
+/// colourings) the individualisation search encoded.
+fn canonicalise(instance: &MaxMinInstance) -> (CanonicalForm, usize) {
     let ctx = Context::new(instance);
     let mut scratch = RefineScratch::default();
-    let mut colors = vec![0u32; n];
+    let mut colors = vec![0u32; instance.num_agents()];
     ctx.refine(&mut colors, &mut scratch);
     let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
-    ctx.search(colors, &mut best, &mut scratch);
+    let leaves = ctx.search(colors, &mut best, &mut scratch);
     let (encoding, labelling) = best.expect("search always yields at least one labelling");
-    let canonical = ctx.relabel(&labelling);
-    CanonicalForm { key: CanonicalKey(encoding), labelling, instance: canonical }
+    // The winning encoding lists the canonically relabelled, sorted edges;
+    // the canonical instance is read straight off it.
+    let canonical = assemble(instance.num_agents(), &encoding);
+    (CanonicalForm { key: CanonicalKey(encoding), labelling, instance: canonical }, leaves)
 }
 
 /// Convenience wrapper returning only the key.
@@ -251,13 +260,19 @@ struct Context<'a> {
     /// encoding.  This keeps instances with many interchangeable agents
     /// (e.g. identical agents on private resources) linear instead of
     /// factorial.
-    twin_class: Vec<usize>,
+    ///
+    /// Computed on first use: an instance that refinement alone makes
+    /// discrete (most ball LPs) never branches, so never needs it.
+    twin_class: OnceCell<Vec<usize>>,
 }
 
 impl<'a> Context<'a> {
     fn new(instance: &'a MaxMinInstance) -> Self {
-        let twin_class = twin_classes(instance);
-        Self { instance, num_agents: instance.num_agents(), twin_class }
+        Self { instance, num_agents: instance.num_agents(), twin_class: OnceCell::new() }
+    }
+
+    fn twin_classes(&self) -> &[usize] {
+        self.twin_class.get_or_init(|| twin_classes(self.instance))
     }
 
     /// Runs colour refinement to a fixed point.  Colours are canonical ranks
@@ -305,7 +320,10 @@ impl<'a> Context<'a> {
                 previous = Some(sig(v));
             }
             let new_num = next as usize + 1;
-            if new_num == num_colors {
+            // A discrete colouring is stable: the next round's signatures
+            // would be ordered by their leading own colour alone, re-ranking
+            // every agent to the colour it has.
+            if new_num == num_colors || new_num == n {
                 return;
             }
             num_colors = new_num;
@@ -314,13 +332,13 @@ impl<'a> Context<'a> {
 
     /// Individualisation search: explores every member of the first
     /// non-singleton colour class and keeps the lexicographically smallest
-    /// complete encoding.
+    /// complete encoding.  Returns the number of leaves encoded.
     fn search(
         &self,
         colors: Vec<u32>,
         best: &mut Option<(Vec<u64>, Vec<usize>)>,
         scratch: &mut RefineScratch,
-    ) {
+    ) -> usize {
         let n = self.num_agents;
         // Count class sizes to find the first non-singleton class.
         let mut class_size = vec![0usize; n];
@@ -330,88 +348,56 @@ impl<'a> Context<'a> {
         let target = class_size.iter().position(|&s| s > 1);
         let Some(target) = target else {
             // Discrete colouring: colours are exactly the canonical indices.
-            let labelling: Vec<usize> = colors.iter().map(|&c| c as usize).collect();
-            let encoding = self.encode(&labelling);
+            self.encode(&colors, scratch);
             let improves = match best {
                 None => true,
-                Some((incumbent, _)) => encoding < *incumbent,
+                Some((incumbent, _)) => scratch.encoding < *incumbent,
             };
             if improves {
-                *best = Some((encoding, labelling));
+                let labelling = colors.iter().map(|&c| c as usize).collect();
+                *best = Some((std::mem::take(&mut scratch.encoding), labelling));
             }
-            return;
+            return 1;
         };
+        let twin_class = self.twin_classes();
         let mut branched_twin_classes = std::collections::BTreeSet::new();
+        let mut leaves = 0;
         for v in 0..n {
             if colors[v] as usize != target {
                 continue;
             }
             // Twins reach the same minimal encoding; branch once per class.
-            if !branched_twin_classes.insert(self.twin_class[v]) {
+            if !branched_twin_classes.insert(twin_class[v]) {
                 continue;
             }
             let mut branch = colors.clone();
             // Give `v` a fresh colour; refinement re-ranks everything.
             branch[v] = n as u32;
             self.refine(&mut branch, scratch);
-            self.search(branch, best, scratch);
+            leaves += self.search(branch, best, scratch);
         }
+        leaves
     }
 
-    /// Flat encoding of the instance under a discrete labelling.
-    fn encode(&self, labelling: &[usize]) -> Vec<u64> {
+    /// Writes the flat encoding of the instance under a discrete colouring
+    /// (colour = canonical index) into `scratch.encoding`: the dimensions,
+    /// then every resource and every party, each relabelled with its members
+    /// sorted, in sorted order.
+    fn encode(&self, labelling: &[u32], scratch: &mut RefineScratch) {
         let inst = self.instance;
-        let mut encoding =
-            vec![inst.num_agents() as u64, inst.num_resources() as u64, inst.num_parties() as u64];
-        let mut resources = self.relabelled_edges(&inst.resources, labelling, Resource::members);
-        let mut parties = self.relabelled_edges(&inst.parties, labelling, Party::members);
-        for (sep, edges) in [(SEP_RESOURCE, &mut resources), (SEP_PARTY, &mut parties)] {
-            edges.sort_unstable();
-            for edge in edges.iter() {
-                encoding.push(sep);
-                for &(v, bits) in edge {
-                    encoding.push(SEP_ENTRY);
-                    encoding.push(v as u64);
-                    encoding.push(bits);
-                }
-            }
-        }
-        encoding
-    }
-
-    /// The hyperedges of one kind, relabelled and sorted member-wise.
-    fn relabelled_edges<E>(
-        &self,
-        edges: &[E],
-        labelling: &[usize],
-        members: impl Fn(&E) -> &[(AgentId, f64)],
-    ) -> Vec<Vec<(usize, u64)>> {
-        edges
-            .iter()
-            .map(|e| {
-                let mut entries: Vec<(usize, u64)> = members(e)
-                    .iter()
-                    .map(|(v, c)| (labelling[v.index()], c.to_bits()))
-                    .collect();
-                entries.sort_unstable();
-                entries
-            })
-            .collect()
-    }
-
-    /// Builds the canonically relabelled instance for a discrete labelling.
-    fn relabel(&self, labelling: &[usize]) -> MaxMinInstance {
-        let inst = self.instance;
-        let mut resources = self.relabelled_edges(&inst.resources, labelling, Resource::members);
-        resources.sort_unstable();
-        let mut parties = self.relabelled_edges(&inst.parties, labelling, Party::members);
-        parties.sort_unstable();
-        assemble(self.num_agents, &resources, &parties)
+        scratch.encoding.clear();
+        scratch.encoding.extend([
+            inst.num_agents() as u64,
+            inst.num_resources() as u64,
+            inst.num_parties() as u64,
+        ]);
+        scratch.push_edges(SEP_RESOURCE, inst.resources.iter().map(Resource::members), labelling);
+        scratch.push_edges(SEP_PARTY, inst.parties.iter().map(Party::members), labelling);
     }
 }
 
-/// The reusable buffers of colour refinement, shared by every round and
-/// every individualisation branch of one canonicalisation.
+/// The reusable buffers of colour refinement and leaf encoding, shared by
+/// every round, branch and leaf of one canonicalisation.
 #[derive(Default)]
 struct RefineScratch {
     /// Every agent's signature, back to back.
@@ -428,6 +414,12 @@ struct RefineScratch {
     order: Vec<usize>,
     /// The distinct input colours.
     distinct: Vec<u32>,
+    /// The encoding of the leaf last visited.
+    encoding: Vec<u64>,
+    /// One kind's relabelled hyperedges, back to back.
+    edge_entries: Vec<(u64, u64)>,
+    /// The `(start, end)` range of each hyperedge in `edge_entries`.
+    edge_ranges: Vec<(usize, usize)>,
 }
 
 impl RefineScratch {
@@ -446,6 +438,37 @@ impl RefineScratch {
             .map(|(k, c)| (*c, instance.parties[k.index()].members()));
         self.push_shapes(SEP_PARTY, parties, colors);
         self.sig_bounds.push(self.sigs.len());
+    }
+
+    /// Appends hyperedges of one kind to `encoding`, relabelled by a
+    /// discrete colouring: each opened by `sep`, its `(index, coefficient
+    /// bits)` members sorted and each entered by `SEP_ENTRY`, the hyperedges
+    /// in sorted order.
+    fn push_edges<'e>(
+        &mut self,
+        sep: u64,
+        edges: impl Iterator<Item = &'e [(AgentId, f64)]>,
+        labelling: &[u32],
+    ) {
+        self.edge_entries.clear();
+        self.edge_ranges.clear();
+        for members in edges {
+            let start = self.edge_entries.len();
+            self.edge_entries.extend(
+                members.iter().map(|(v, c)| (u64::from(labelling[v.index()]), c.to_bits())),
+            );
+            self.edge_entries[start..].sort_unstable();
+            self.edge_ranges.push((start, self.edge_entries.len()));
+        }
+        let entries = &self.edge_entries;
+        self.edge_ranges
+            .sort_unstable_by(|&(s1, e1), &(s2, e2)| entries[s1..e1].cmp(&entries[s2..e2]));
+        for &(start, end) in &self.edge_ranges {
+            self.encoding.push(sep);
+            for &(v, bits) in &entries[start..end] {
+                self.encoding.extend([SEP_ENTRY, v, bits]);
+            }
+        }
     }
 
     /// Appends the sorted multiset of shapes of the given hyperedges (each
@@ -595,37 +618,40 @@ fn twin_classes(instance: &MaxMinInstance) -> Vec<usize> {
         .collect()
 }
 
-/// Assembles a [`MaxMinInstance`] from relabelled, canonically sorted edge
-/// lists (entries are `(canonical agent index, coefficient bits)`).
-fn assemble(
-    num_agents: usize,
-    resources: &[Vec<(usize, u64)>],
-    parties: &[Vec<(usize, u64)>],
-) -> MaxMinInstance {
+/// Assembles the canonical [`MaxMinInstance`] from a canonical encoding:
+/// every `SEP_RESOURCE` / `SEP_PARTY` word opens the next hyperedge of that
+/// kind, and every `SEP_ENTRY` is followed by one member's canonical index
+/// and coefficient bits.
+fn assemble(num_agents: usize, encoding: &[u64]) -> MaxMinInstance {
     let mut agents = vec![Agent::default(); num_agents];
-    let mut out_resources = Vec::with_capacity(resources.len());
-    for (idx, entries) in resources.iter().enumerate() {
-        let i = crate::ids::resource(idx);
-        let mut members = Vec::with_capacity(entries.len());
-        for &(v, bits) in entries {
-            let a = f64::from_bits(bits);
-            members.push((AgentId::new(v), a));
-            agents[v].resources.push((i, a));
+    let mut resources: Vec<Resource> = Vec::with_capacity(encoding[1] as usize);
+    let mut parties: Vec<Party> = Vec::with_capacity(encoding[2] as usize);
+    let mut is_party = false;
+    let mut words = encoding[3..].iter().copied();
+    while let Some(word) = words.next() {
+        match word {
+            SEP_RESOURCE => resources.push(Resource::default()),
+            SEP_PARTY => {
+                is_party = true;
+                parties.push(Party::default());
+            }
+            _ => {
+                debug_assert_eq!(word, SEP_ENTRY);
+                let v = words.next().expect("an entry has an index") as usize;
+                let w = f64::from_bits(words.next().expect("an entry has a coefficient"));
+                if is_party {
+                    let k = crate::ids::party(parties.len() - 1);
+                    parties[k.index()].agents.push((AgentId::new(v), w));
+                    agents[v].parties.push((k, w));
+                } else {
+                    let i = crate::ids::resource(resources.len() - 1);
+                    resources[i.index()].agents.push((AgentId::new(v), w));
+                    agents[v].resources.push((i, w));
+                }
+            }
         }
-        out_resources.push(Resource { agents: members });
     }
-    let mut out_parties = Vec::with_capacity(parties.len());
-    for (idx, entries) in parties.iter().enumerate() {
-        let k = crate::ids::party(idx);
-        let mut members = Vec::with_capacity(entries.len());
-        for &(v, bits) in entries {
-            let c = f64::from_bits(bits);
-            members.push((AgentId::new(v), c));
-            agents[v].parties.push((k, c));
-        }
-        out_parties.push(Party { agents: members });
-    }
-    MaxMinInstance { agents, resources: out_resources, parties: out_parties }
+    MaxMinInstance { agents, resources, parties }
 }
 
 #[cfg(test)]
@@ -836,6 +862,35 @@ mod tests {
                 assert_eq!(w.to_bits(), quantise_weight(w, epsilon).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn search_branches_once_per_twin_class() {
+        // The 4-cycle's twin classes are its two diagonals {0, 2} and
+        // {1, 3}: one branch per class at the root, and individualising one
+        // agent leaves a single twin pair to branch on once more (2 leaves,
+        // against 8 without pruning).
+        let (_, leaves) = canonicalise(&cycle4());
+        assert_eq!(leaves, 2);
+
+        // Twelve interchangeable agents, each on a private resource, all
+        // serving one shared party: refinement cannot split them, and every
+        // pair is a twin pair.  Without twin pruning the search would
+        // encode 12! leaves; with it, one branch per level reaches the one
+        // leaf.
+        let mut b = InstanceBuilder::new();
+        let v = b.add_agents(12);
+        let k = b.add_party();
+        for &agent in &v {
+            let i = b.add_resource();
+            b.set_consumption(i, agent, 1.0);
+            b.set_benefit(k, agent, 1.0);
+        }
+        let star = b.build().unwrap();
+        let (form, leaves) = canonicalise(&star);
+        assert_eq!(leaves, 1);
+        let reversed: Vec<usize> = (0..12).rev().collect();
+        assert_eq!(form.key, canonical_key(&star.permute_agents(&reversed)));
     }
 
     #[test]

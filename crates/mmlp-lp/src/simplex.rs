@@ -80,6 +80,12 @@ struct Tableau {
     rows: Vec<Vec<f64>>,
     /// Basis variable (column index) of each row.
     basis: Vec<usize>,
+    /// `is_basic[j]` iff column `j` is in `basis`.
+    is_basic: Vec<bool>,
+    /// The reduced costs of the current pricing pass, reused across passes.
+    reduced: Vec<f64>,
+    /// The normalised pivot row of the current pivot, reused across pivots.
+    pivot_buf: Vec<f64>,
     /// Total number of columns (structural + slack/surplus + artificial).
     num_cols: usize,
     /// Number of structural variables.
@@ -97,35 +103,26 @@ impl Tableau {
         let n = problem.num_vars;
         let m = problem.constraints.len();
 
-        // Normalise rows so that every RHS is non-negative.
-        // (op, dense coefficients, rhs)
-        let mut norm: Vec<(ConstraintOp, Vec<f64>, f64)> = Vec::with_capacity(m);
-        for c in &problem.constraints {
-            let mut dense = vec![0.0; n];
-            for (j, a) in &c.coeffs {
-                dense[*j] += a;
-            }
-            let (op, dense, rhs) = if c.rhs < 0.0 {
-                let flipped = match c.op {
-                    ConstraintOp::Le => ConstraintOp::Ge,
-                    ConstraintOp::Ge => ConstraintOp::Le,
-                    ConstraintOp::Eq => ConstraintOp::Eq,
-                };
-                (flipped, dense.iter().map(|a| -a).collect(), -c.rhs)
-            } else {
-                (c.op, dense, c.rhs)
-            };
-            norm.push((op, dense, rhs));
-        }
+        // Normalise rows so that every RHS is non-negative: a row with a
+        // negative RHS is negated and its inequality flipped.
+        let ops: Vec<ConstraintOp> = problem
+            .constraints
+            .iter()
+            .map(|c| match c.op {
+                ConstraintOp::Le if c.rhs < 0.0 => ConstraintOp::Ge,
+                ConstraintOp::Ge if c.rhs < 0.0 => ConstraintOp::Le,
+                op => op,
+            })
+            .collect();
 
         // Column layout: structural | slack & surplus | artificial.
-        let num_slack = norm
+        let num_slack = ops
             .iter()
-            .filter(|(op, _, _)| matches!(op, ConstraintOp::Le | ConstraintOp::Ge))
+            .filter(|op| matches!(op, ConstraintOp::Le | ConstraintOp::Ge))
             .count();
-        let num_artificial = norm
+        let num_artificial = ops
             .iter()
-            .filter(|(op, _, _)| matches!(op, ConstraintOp::Ge | ConstraintOp::Eq))
+            .filter(|op| matches!(op, ConstraintOp::Ge | ConstraintOp::Eq))
             .count();
         let slack_start = n;
         let artificial_start = n + num_slack;
@@ -135,10 +132,19 @@ impl Tableau {
         let mut basis = Vec::with_capacity(m);
         let mut next_slack = slack_start;
         let mut next_artificial = artificial_start;
-        for (op, dense, rhs) in &norm {
+        for (c, op) in problem.constraints.iter().zip(&ops) {
             let mut row = vec![0.0; num_cols + 1];
-            row[..n].copy_from_slice(dense);
-            row[num_cols] = *rhs;
+            for (j, a) in &c.coeffs {
+                row[*j] += a;
+            }
+            if c.rhs < 0.0 {
+                for a in &mut row[..n] {
+                    *a = -*a;
+                }
+                row[num_cols] = -c.rhs;
+            } else {
+                row[num_cols] = c.rhs;
+            }
             match op {
                 ConstraintOp::Le => {
                     row[next_slack] = 1.0;
@@ -163,9 +169,16 @@ impl Tableau {
 
         let auto_max = 200 * (m + num_cols) + 1000;
         let auto_bland = 20 * (m + num_cols);
+        let mut is_basic = vec![false; num_cols];
+        for &b in &basis {
+            is_basic[b] = true;
+        }
         Tableau {
             rows,
             basis,
+            is_basic,
+            reduced: Vec::with_capacity(num_cols),
+            pivot_buf: Vec::with_capacity(num_cols + 1),
             num_cols,
             num_structural: n,
             artificial_start,
@@ -256,31 +269,37 @@ impl Tableau {
         }
     }
 
-    /// Reduced cost of column `j`: `c_j − Σ_r c_{basis(r)} · T[r][j]`.
-    fn reduced_cost(&self, cost: &[f64], j: usize) -> f64 {
-        let mut rc = cost[j];
-        for (row, &b) in self.rows.iter().zip(&self.basis) {
-            let cb = cost[b];
-            if cb != 0.0 {
-                rc -= cb * row[j];
-            }
-        }
-        rc
-    }
-
+    /// Picks the entering column: the largest reduced cost above the
+    /// tolerance (Dantzig), or the first one (Bland).
+    ///
+    /// The reduced cost of column `j` is `c_j − Σ_r c_{basis(r)} · T[r][j]`,
+    /// summed in row order.  Pricing runs row by row over the basic rows
+    /// with a non-zero cost only (the others add nothing), updating every
+    /// column's reduced cost at once: each column still sees the same
+    /// products subtracted in the same order, hence the same bits.
     fn choose_entering(
-        &self,
+        &mut self,
         cost: &[f64],
         block_artificials: bool,
         use_bland: bool,
     ) -> Option<usize> {
         let limit = if block_artificials { self.artificial_start } else { self.num_cols };
+        let reduced = &mut self.reduced;
+        reduced.clear();
+        reduced.extend_from_slice(&cost[..limit]);
+        for (row, &b) in self.rows.iter().zip(&self.basis) {
+            let cb = cost[b];
+            if cb != 0.0 {
+                for (rc, &t) in reduced.iter_mut().zip(&row[..limit]) {
+                    *rc -= cb * t;
+                }
+            }
+        }
         let mut best: Option<(usize, f64)> = None;
-        for j in 0..limit {
-            if self.basis.contains(&j) {
+        for (j, &rc) in reduced.iter().enumerate() {
+            if self.is_basic[j] {
                 continue;
             }
-            let rc = self.reduced_cost(cost, j);
             if rc > self.tolerance {
                 if use_bland {
                     return Some(j);
@@ -325,14 +344,15 @@ impl Tableau {
         for value in self.rows[pivot_row].iter_mut() {
             *value *= inv;
         }
-        let pivot_copy = self.rows[pivot_row].clone();
+        self.pivot_buf.clear();
+        self.pivot_buf.extend_from_slice(&self.rows[pivot_row]);
         for (r, row) in self.rows.iter_mut().enumerate() {
             if r == pivot_row {
                 continue;
             }
             let factor = row[entering];
             if factor != 0.0 {
-                for (value, pivot_entry) in row.iter_mut().zip(&pivot_copy) {
+                for (value, pivot_entry) in row.iter_mut().zip(&self.pivot_buf) {
                     *value -= factor * pivot_entry;
                 }
                 // Guard against drift: the entering column must be exactly 0
@@ -340,6 +360,8 @@ impl Tableau {
                 row[entering] = 0.0;
             }
         }
+        self.is_basic[self.basis[pivot_row]] = false;
+        self.is_basic[entering] = true;
         self.basis[pivot_row] = entering;
     }
 
@@ -355,7 +377,7 @@ impl Tableau {
             }
             // Find a non-artificial, non-basic column to pivot on.
             let pivot_col = (0..self.artificial_start)
-                .find(|&j| self.rows[r][j].abs() > self.tolerance && !self.basis.contains(&j));
+                .find(|&j| self.rows[r][j].abs() > self.tolerance && !self.is_basic[j]);
             if let Some(j) = pivot_col {
                 self.pivot(r, j);
                 self.pivots += 1;
@@ -363,7 +385,7 @@ impl Tableau {
             } else {
                 // The row is a linear combination of the others: drop it.
                 self.rows.swap_remove(r);
-                self.basis.swap_remove(r);
+                self.is_basic[self.basis.swap_remove(r)] = false;
             }
         }
     }

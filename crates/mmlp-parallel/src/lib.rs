@@ -279,8 +279,16 @@ impl StageStats {
         self.shards.iter().map(|s| s.items).sum()
     }
 
-    /// The wall-clock of the slowest shard — the stage's critical path under
-    /// perfect parallelism.
+    /// The wall-clock of the slowest *shard*.
+    ///
+    /// This is the stage's critical path only when every shard runs on a
+    /// worker of its own.  A worker that runs several shards runs them one
+    /// after another, so its busy time is the sum of its shards' walls: on
+    /// the subprocess backend each worker gets
+    /// [`SUBPROCESS_SHARDS_PER_WORKER`] shards, and the slowest worker can
+    /// take about that many times the slowest shard.  Host wall minus this
+    /// value therefore counts the other shards of the slowest worker along
+    /// with the transport.
     pub fn critical_path(&self) -> Duration {
         self.shards.iter().map(|s| s.wall).max().unwrap_or_default()
     }

@@ -15,6 +15,12 @@
 //!
 //! A changed constant means canonical forms changed; that is never a
 //! refactoring detail.
+//!
+//! A second set of constants pins what the simplex makes of those canonical
+//! LPs: every ball's canonical LP solved with [`solve_maxmin_with`] under
+//! default options, folding the bits of `x` and the pivot count.  The
+//! solver's pricing and pivoting may be restructured, but only with the same
+//! float operations in the same order, so these constants never move either.
 
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
@@ -86,6 +92,26 @@ fn fingerprint(instance: &MaxMinInstance, radius: usize, epsilon: f64) -> u64 {
     h.0
 }
 
+/// The fingerprint of what the simplex returns on every ball's canonical
+/// LP: the bits of `x` and the pivot count, ball by ball.  Party-less balls
+/// are skipped; the engine never hands them to the solver.
+fn solution_fingerprint(instance: &MaxMinInstance, radius: usize) -> u64 {
+    let mut h = Fnv::new();
+    let (graph, _) = communication_hypergraph(instance);
+    for u in 0..instance.num_agents() {
+        let ball: Vec<AgentId> = graph.ball(u, radius).into_iter().map(AgentId::new).collect();
+        let (lp, _) = instance.restrict_to_agents(&ball);
+        let form = canonical_form(&lp);
+        if form.instance.num_parties() == 0 {
+            continue;
+        }
+        let opt = solve_maxmin_with(&form.instance, &SimplexOptions::default()).unwrap();
+        h.word(opt.pivots as u64);
+        h.words(opt.solution.activities().iter().map(|x| x.to_bits()));
+    }
+    h.0
+}
+
 fn grid(side: usize, torus: bool) -> MaxMinInstance {
     grid_instance(
         &GridConfig { side_lengths: vec![side, side], torus, random_weights: false },
@@ -124,4 +150,19 @@ fn skewed_jittered_fingerprints_are_pinned() {
     let inst = skewed_jittered();
     assert_eq!(fingerprint(&inst, 1, 0.0), 4563631478822894038, "ε = 0");
     assert_eq!(fingerprint(&inst, 1, 0.05), 8625398206267539032, "ε = 0.05");
+}
+
+#[test]
+fn ball_lp_solution_fingerprints_are_pinned() {
+    assert_eq!(
+        solution_fingerprint(&grid(20, false), 2),
+        10902313637019449405,
+        "20×20 grid, R = 2"
+    );
+    assert_eq!(solution_fingerprint(&grid(8, true), 2), 3112805423732748837, "8×8 torus, R = 2");
+    assert_eq!(
+        solution_fingerprint(&skewed_jittered(), 1),
+        13959473287104516923,
+        "skewed jittered, R = 1"
+    );
 }
