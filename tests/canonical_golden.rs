@@ -21,6 +21,12 @@
 //! default options, folding the bits of `x` and the pivot count.  The
 //! solver's pricing and pivoting may be restructured, but only with the same
 //! float operations in the same order, so these constants never move either.
+//!
+//! A third set pins what the lifted mode hands its callers on weight-jittered
+//! instances: every ball's scattered activity vector, certified interval and
+//! class objective, the class map and the largest measured slack.  Where in
+//! the pipeline the coefficients are quantised is an implementation detail;
+//! these outputs are not.
 
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
@@ -112,6 +118,29 @@ fn solution_fingerprint(instance: &MaxMinInstance, radius: usize) -> u64 {
     h.0
 }
 
+/// The fingerprint of a lifted batch's outputs at `(radius, ε)`: the bits of
+/// every ball's `local_x`, interval bounds and objective, the class of
+/// every ball, and the bits of `max_class_slack`.
+fn lifted_output_fingerprint(instance: &MaxMinInstance, radius: usize, epsilon: f64) -> u64 {
+    let mut h = Fnv::new();
+    let options = LocalLpOptions {
+        mode: SolveMode::Lifted { epsilon },
+        ..LocalLpOptions::new(radius).with_backend(BackendKind::Sequential)
+    };
+    let batch = solve_local_lps(instance, &options).unwrap();
+    for x in &batch.local_x {
+        h.word(x.len() as u64);
+        h.words(x.iter().map(|v| v.to_bits()));
+    }
+    for interval in &batch.intervals {
+        h.words([interval.lower.to_bits(), interval.upper.to_bits()]);
+    }
+    h.words(batch.ball_objectives.iter().map(|w| w.to_bits()));
+    h.words(batch.class_of_ball.iter().map(|&c| c as u64));
+    h.word(batch.stats.max_class_slack.to_bits());
+    h.0
+}
+
 fn grid(side: usize, torus: bool) -> MaxMinInstance {
     grid_instance(
         &GridConfig { side_lengths: vec![side, side], torus, random_weights: false },
@@ -133,6 +162,15 @@ fn skewed_jittered() -> MaxMinInstance {
         },
         &mut StdRng::seed_from_u64(42),
     )
+}
+
+/// The weight-jittered 20×20 torus of the lifted-mode experiment (E14).
+fn jittered_torus() -> MaxMinInstance {
+    let torus = grid_instance(
+        &GridConfig { side_lengths: vec![20, 20], torus: true, random_weights: false },
+        &mut StdRng::seed_from_u64(14),
+    );
+    jitter_weights(&torus, 0.04, &mut StdRng::seed_from_u64(14))
 }
 
 #[test]
@@ -164,5 +202,27 @@ fn ball_lp_solution_fingerprints_are_pinned() {
         solution_fingerprint(&skewed_jittered(), 1),
         13959473287104516923,
         "skewed jittered, R = 1"
+    );
+}
+
+#[test]
+fn lifted_output_fingerprints_are_pinned() {
+    assert_eq!(
+        lifted_output_fingerprint(&skewed_jittered(), 1, 0.05),
+        1482788823989547568,
+        "skewed jittered, R = 1, ε = 0.05"
+    );
+    // `jitter_weights` only raises weights, so both grids snap every torus
+    // coefficient down to the grid point 1.0 and the two runs agree.
+    let torus = jittered_torus();
+    assert_eq!(
+        lifted_output_fingerprint(&torus, 1, 0.05),
+        1432043210412934461,
+        "jittered torus, R = 1, ε = 0.05"
+    );
+    assert_eq!(
+        lifted_output_fingerprint(&torus, 1, 0.2),
+        1432043210412934461,
+        "jittered torus, R = 1, ε = 0.2"
     );
 }
