@@ -16,7 +16,10 @@
 //!    shard-local table; only a shard-local first occurrence builds its
 //!    local LP (9).  A sequential merge then combines the per-shard tables
 //!    into the global presentation table (first-occurrence order, so the
-//!    numbering is independent of the backend).
+//!    numbering is independent of the backend).  Under
+//!    [`SolveMode::Lifted`] the sweep first quantises each ball's
+//!    coefficients, so balls with coinciding quantised LPs share one
+//!    presentation, and records each ball's measured slack.
 //! 2. **Canonicalise** — the unique presentations are sharded again; each
 //!    shard computes the exact canonical form ([`mmlp_core::canonical`]) of
 //!    its presentations and a shard-local *canonical-class table*.  The
@@ -53,11 +56,11 @@
 //! statistics.
 
 use crate::transport::{
-    engine_registry, CanonWireStage, DeltaPresentWireStage, LiftedCanonWireStage, PresentWireStage,
-    ScatterWireStage, SolveWireStage,
+    engine_registry, CanonWireStage, DeltaPresentWireStage, PresentWireStage, ScatterWireStage,
+    SolveWireStage,
 };
 use mmlp_core::canonical::{
-    canonical_form, quasi_canonical_form, CanonicalForm, CanonicalKey, SEP_PARTY, SEP_RESOURCE,
+    canonical_form, quantise_weight, CanonicalForm, CanonicalKey, SEP_PARTY, SEP_RESOURCE,
 };
 use mmlp_core::{AgentId, InstanceBuilder, MaxMinInstance, PartyId, ResourceId};
 use mmlp_hypergraph::{communication_hypergraph, BallEnumerator, NeighborCache};
@@ -306,14 +309,15 @@ pub enum SolveMode {
     /// this mode — it is the reference the other configurations are
     /// compared against.
     NaivePerAgent,
-    /// Lifted (quasi-class) dedup for irregular instances: every ball LP's
-    /// coefficients are snapped down onto the geometric grid `(1+ε)^b`
-    /// before canonicalisation, so `ε`-close weights stop splitting classes
-    /// and one representative LP is solved per *quasi*-class.  The scattered
-    /// activity vectors are scaled by `1/(1+s)` (with `s` the class's
-    /// *measured* quantisation slack) so they stay feasible for every actual
-    /// ball, and each agent additionally receives a
-    /// [`CertifiedInterval`] bracketing its exact ball optimum
+    /// Lifted (quasi-class) dedup for irregular instances: the present
+    /// stage snaps every ball LP's coefficients down onto the geometric grid
+    /// `(1+ε)^b` while it keys the ball, so balls whose quantised LPs
+    /// coincide share one presentation, `ε`-close weights stop splitting
+    /// classes, and the exact pipeline solves one representative LP per
+    /// *quasi*-class.  The scattered activity vectors are scaled by
+    /// `1/(1+s)` (with `s` the ball's *measured* quantisation slack) so they
+    /// stay feasible for every actual ball, and each agent additionally
+    /// receives a [`CertifiedInterval`] bracketing its exact ball optimum
     /// ([`LocalLpBatch::intervals`]).  At `epsilon = 0.0` the quasi
     /// partition *is* the exact partition and the batch is bit-identical to
     /// [`SolveMode::Batched`].
@@ -423,8 +427,8 @@ pub struct SolveStats {
     /// exact partition *is* the `ε = 0` quasi partition).
     pub quasi_classes: usize,
     /// The largest measured quantisation slack `s = max(w/q − 1)` over all
-    /// presentations — `0.0` in the exact modes, and the honest worst-case
-    /// factor behind every [`CertifiedInterval`] of the batch.
+    /// balls — `0.0` in the exact modes, and the honest worst-case factor
+    /// behind every [`CertifiedInterval`] of the batch.
     pub max_class_slack: f64,
     /// Wall-clock per stage.
     pub timings: StageTimings,
@@ -444,20 +448,9 @@ impl SolveStats {
         }
     }
 
-    /// `balls_enumerated / unique_classes` — how many agents share each
-    /// unique local LP on average.
-    pub fn dedup_factor(&self) -> f64 {
-        if self.unique_classes == 0 {
-            1.0
-        } else {
-            self.balls_enumerated as f64 / self.unique_classes as f64
-        }
-    }
-
     /// `balls_enumerated / quasi_classes` — how many agents share each
-    /// solved (quasi-)class on average; the lifted analogue of
-    /// [`dedup_factor`](SolveStats::dedup_factor).  Defined as `1.0` for an
-    /// empty batch (no balls, no classes) rather than `NaN` or `∞`.
+    /// solved (quasi-)class on average.  Defined as `1.0` for an empty batch
+    /// (no balls, no classes) rather than `NaN` or `∞`.
     pub fn dedup_ratio(&self) -> f64 {
         if self.balls_enumerated == 0 || self.quasi_classes == 0 {
             1.0
@@ -498,7 +491,7 @@ pub struct LocalLpBatch {
     /// `intervals[u]` certifies agent `u`'s exact ball optimum:
     /// `ω* ∈ [lower, upper]`.  A degenerate point `[ω*, ω*]` in the exact
     /// modes; under [`SolveMode::Lifted`] the bracket
-    /// `[ω̃/(1+s), ω̃·(1+s)]` from the class's measured slack `s`.
+    /// `[ω̃/(1+s), ω̃·(1+s)]` from the ball's measured slack `s`.
     pub intervals: Vec<CertifiedInterval>,
     /// Stage statistics.
     pub stats: SolveStats,
@@ -742,18 +735,18 @@ fn run_pipeline<B: SolveBackend>(
     backend: &B,
     memo: Option<&ClassSolutionMemo>,
 ) -> Result<LocalLpBatch, EngineError> {
-    // Lifted mode's grid coarseness, validated up front: `None` in the
-    // exact modes, `Some(ε)` under `SolveMode::Lifted`.
-    let lifted_epsilon = match options.mode {
+    // The present stage's grid coarseness, validated up front: `0.0` (no
+    // quantisation) in the exact modes, `ε` under `SolveMode::Lifted`.
+    let epsilon = match options.mode {
         SolveMode::Lifted { epsilon } => {
             if !epsilon.is_finite() || epsilon < 0.0 {
                 return Err(EngineError::InvalidOptions(format!(
                     "lifted epsilon must be finite and non-negative, got {epsilon}"
                 )));
             }
-            Some(epsilon)
+            epsilon
         }
-        SolveMode::Batched | SolveMode::NaivePerAgent => None,
+        SolveMode::Batched | SolveMode::NaivePerAgent => 0.0,
     };
     let n = instance.num_agents();
     if n == 0 {
@@ -771,66 +764,49 @@ fn run_pipeline<B: SolveBackend>(
     let mut timings = StageTimings::default();
     let mut stage_shards: Vec<StageStats> = Vec::new();
 
-    // ---- Stage 1: present — enumerate balls, build ball LPs, dedup by
-    // presentation key (phase 1 per shard, phase 2 in the merge below). ----
+    // ---- Stage 1: present — enumerate balls, build ball LPs (quantised
+    // onto the `(1+ε)^b` grid under lifted mode), dedup by presentation key
+    // (phase 1 per shard, phase 2 in the merge below). ----
     let stage = Instant::now();
     let (h, _) = communication_hypergraph(instance);
     let cache = h.neighbor_cache();
-    let run = backend
-        .execute_stage(n, &PresentWireStage { instance, cache: &cache, radius: options.radius })?;
+    let run = backend.execute_stage(
+        n,
+        &PresentWireStage { instance, cache: &cache, radius: options.radius, epsilon },
+    )?;
     let lps_built = run.outputs.iter().map(|shard| shard.reps.len()).sum();
     // Merge phase 2: per-shard presentation tables → global table, in shard
     // order (= agent order), so the numbering matches a sequential sweep.
+    // `slack_of_ball[u]` is ball `u`'s measured quantisation slack; a shard
+    // that did not quantise reports no slacks, meaning all zeros.
     let mut balls: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut pres_of_ball: Vec<usize> = Vec::with_capacity(n);
+    let mut slack_of_ball: Vec<f64> = Vec::with_capacity(n);
     let (reps, shard_maps) = merge_presentations(run.outputs);
     for (shard_out, map) in shard_maps {
         balls.extend(shard_out.balls);
         pres_of_ball.extend(shard_out.pres_of_ball.into_iter().map(|p| map[p]));
+        slack_of_ball.extend(shard_out.slack_of_ball);
+        slack_of_ball.resize(balls.len(), 0.0);
     }
     stage_shards.push(run.stats);
     timings.enumerate = stage.elapsed();
 
     // ---- Stage 2: canonicalise the unique presentations; each shard also
     // returns its local canonical-class table (phase 1 of the class dedup).
-    // Lifted mode runs the quantising variant of the stage instead, which
-    // additionally reports each presentation's measured slack.
     let stage = Instant::now();
+    let run = backend.execute_stage(
+        reps.len(),
+        &CanonWireStage { instances: reps.iter().map(|r| &r.instance).collect() },
+    )?;
     // Flatten the forms (shard order = presentation order), then merge the
-    // per-shard class tables (phase 2).  `slack_of_pres[p]` is presentation
-    // `p`'s measured quantisation slack (all zeros in the exact modes).
+    // per-shard class tables (phase 2).
     let mut forms: Vec<CanonicalForm> = Vec::with_capacity(reps.len());
-    let mut slack_of_pres: Vec<f64> = Vec::with_capacity(reps.len());
     let mut shard_tables: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new(); // (offset, class_reps, class_of)
-    let canon_stats = match lifted_epsilon {
-        None => {
-            let run = backend.execute_stage(
-                reps.len(),
-                &CanonWireStage { instances: reps.iter().map(|r| &r.instance).collect() },
-            )?;
-            for sc in run.outputs {
-                shard_tables.push((forms.len(), sc.class_reps, sc.class_of));
-                forms.extend(sc.forms);
-                slack_of_pres.resize(forms.len(), 0.0);
-            }
-            run.stats
-        }
-        Some(epsilon) => {
-            let run = backend.execute_stage(
-                reps.len(),
-                &LiftedCanonWireStage {
-                    instances: reps.iter().map(|r| &r.instance).collect(),
-                    epsilon,
-                },
-            )?;
-            for sq in run.outputs {
-                shard_tables.push((forms.len(), sq.classes.class_reps, sq.classes.class_of));
-                slack_of_pres.extend(sq.slacks);
-                forms.extend(sq.classes.forms);
-            }
-            run.stats
-        }
-    };
+    for sc in run.outputs {
+        shard_tables.push((forms.len(), sc.class_reps, sc.class_of));
+        forms.extend(sc.forms);
+    }
     let (class_reps, class_of_pres) = merge_class_tables(&forms, &shard_tables);
     let class_of_ball: Vec<usize> = pres_of_ball.iter().map(|&p| class_of_pres[p]).collect();
     // Intern each class key once: take it out of its form (the forms' keys
@@ -841,7 +817,7 @@ fn run_pipeline<B: SolveBackend>(
             Arc::new(std::mem::replace(&mut forms[p].key, CanonicalKey::from_words(Vec::new())))
         })
         .collect();
-    stage_shards.push(canon_stats);
+    stage_shards.push(run.stats);
     timings.canonicalise = stage.elapsed();
 
     // ---- Stage 3: solve one job per class (batched) or per ball (naive),
@@ -947,24 +923,17 @@ fn run_pipeline<B: SolveBackend>(
         }
     };
     let intervals: Vec<CertifiedInterval> = (0..n)
-        .map(|u| {
-            CertifiedInterval::from_objective_and_slack(
-                ball_objectives[u],
-                slack_of_pres[pres_of_ball[u]],
-            )
-        })
+        .map(|u| CertifiedInterval::from_objective_and_slack(ball_objectives[u], slack_of_ball[u]))
         .collect();
     // Lifted mode scatters the *quantised* class optimiser; scaled by
     // `1/(1+s)` it is feasible for the actual ball LP and achieves at least
     // the interval's lower bound (see `mmlp_lp::interval`).  At slack 0 the
     // factor is exactly 1.0, preserving bit-identity with the exact modes.
-    if lifted_epsilon.is_some() {
-        for u in 0..n {
-            let factor = 1.0 / (1.0 + slack_of_pres[pres_of_ball[u]]);
-            if factor != 1.0 {
-                for x in &mut local_x[u] {
-                    *x *= factor;
-                }
+    for (x, &slack) in local_x.iter_mut().zip(&slack_of_ball) {
+        let factor = 1.0 / (1.0 + slack);
+        if factor != 1.0 {
+            for v in x {
+                *v *= factor;
             }
         }
     }
@@ -981,7 +950,7 @@ fn run_pipeline<B: SolveBackend>(
         lp_solves,
         total_pivots,
         quasi_classes: num_classes,
-        max_class_slack: slack_of_pres.iter().fold(0.0, |a: f64, &s| a.max(s)),
+        max_class_slack: slack_of_ball.iter().fold(0.0, |a: f64, &s| a.max(s)),
         timings,
         stage_shards,
         ..SolveStats::default()
@@ -1237,7 +1206,7 @@ pub struct IncrementalRun {
 /// delta can affect.
 ///
 /// The pipeline: (1') re-present the affected balls through the
-/// `mmlp/present-delta@1` stage — across the backend, shipping only the
+/// `mmlp/present-delta@2` stage — across the backend, shipping only the
 /// edits and the affected-agent lists against the deduped base context;
 /// (2') canonicalise the affected presentations (the ordinary canonicalise
 /// stage); (3') resolve only the classes an affected ball belongs to,
@@ -1540,10 +1509,15 @@ fn run_incremental<B: SolveBackend>(
 }
 
 /// The output of one *present* shard: its agents' balls, their shard-local
-/// presentation ids, and the shard's presentation table.
+/// presentation ids and measured quantisation slacks, and the shard's
+/// presentation table.
 pub(crate) struct ShardPresentation {
     pub(crate) balls: Vec<Vec<usize>>,
     pub(crate) pres_of_ball: Vec<usize>,
+    /// Each ball's measured slack `max w/q − 1` over its LP's coefficients,
+    /// aligned with `balls`.  Empty when the sweep did not quantise
+    /// (`ε = 0`), which means every slack is zero.
+    pub(crate) slack_of_ball: Vec<f64>,
     pub(crate) reps: Vec<PresentedLp>,
 }
 
@@ -1555,14 +1529,6 @@ pub(crate) struct ShardClasses {
     pub(crate) class_reps: Vec<usize>,
     /// Shard-local class id of each form.
     pub(crate) class_of: Vec<usize>,
-}
-
-/// The output of one *lifted* canonicalise shard: the class table of the
-/// quantised presentations plus each presentation's measured quantisation
-/// slack (aligned with `classes.forms`).
-pub(crate) struct ShardQuasiClasses {
-    pub(crate) classes: ShardClasses,
-    pub(crate) slacks: Vec<f64>,
 }
 
 /// One solved LP job.
@@ -1584,48 +1550,56 @@ pub(crate) struct SolvedLp {
 // the byte boundary bit-identical by construction.
 // ---------------------------------------------------------------------------
 
-/// Stage 1 body: enumerate the balls of an agent range, deduplicate them by
-/// presentation key into a shard-local table and build the local LP of each
-/// first occurrence.
+/// Stage 1 body: enumerate the balls of an agent range, quantise their
+/// coefficients onto the `(1+ε)^b` grid (`ε = 0`: not at all), deduplicate
+/// them by presentation key into a shard-local table and build the local LP
+/// of each first occurrence.
 pub(crate) fn present_shard(
     instance: &MaxMinInstance,
     cache: &NeighborCache,
     radius: usize,
+    epsilon: f64,
     range: Range<usize>,
 ) -> ShardPresentation {
-    present_agent_list(instance, cache, radius, range)
+    present_agent_list(instance, cache, radius, epsilon, range)
 }
 
 /// Stage 1' body (the delta path): the same presentation sweep over an
 /// explicit agent list — incremental re-solves present only the affected
-/// balls, which are rarely a contiguous range.
+/// balls, which are rarely a contiguous range.  Deltas are exact-mode only,
+/// so the sweep never quantises.
 pub(crate) fn present_agents(
     instance: &MaxMinInstance,
     cache: &NeighborCache,
     radius: usize,
     agents: &[usize],
 ) -> ShardPresentation {
-    present_agent_list(instance, cache, radius, agents.iter().copied())
+    present_agent_list(instance, cache, radius, 0.0, agents.iter().copied())
 }
 
 fn present_agent_list(
     instance: &MaxMinInstance,
     cache: &NeighborCache,
     radius: usize,
+    epsilon: f64,
     agents: impl Iterator<Item = usize>,
 ) -> ShardPresentation {
     let mut enumerator = BallEnumerator::new(cache);
-    let mut sweep = PresentSweep::new(instance);
+    let mut sweep = PresentSweep::new(instance, epsilon);
     // Shard-local presentation table, in first-occurrence order.  Only a
     // first occurrence builds its LP; every repeat costs its key words and
     // one lookup.
     let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
     let mut balls = Vec::new();
     let mut pres_of_ball = Vec::new();
+    let mut slack_of_ball = Vec::new();
     let mut reps: Vec<PresentedLp> = Vec::new();
     for u in agents {
         let ball = enumerator.ball(u, radius);
         sweep.present(&ball);
+        if epsilon > 0.0 {
+            slack_of_ball.push(sweep.slack);
+        }
         let id = match by_key.get(sweep.key.as_slice()) {
             Some(&id) => id,
             None => {
@@ -1641,7 +1615,7 @@ fn present_agent_list(
         pres_of_ball.push(id);
         balls.push(ball);
     }
-    ShardPresentation { balls, pres_of_ball, reps }
+    ShardPresentation { balls, pres_of_ball, slack_of_ball, reps }
 }
 
 /// The reusable scratch of one shard's presentation sweep.  Presenting a
@@ -1652,11 +1626,18 @@ fn present_agent_list(
 /// ball.  [`build`](PresentSweep::build) turns the buffers into the LP (9),
 /// which the sweep's caller does only for first occurrences.
 ///
+/// With `ε > 0` every kept coefficient is snapped down onto the grid
+/// `(1+ε)^b` ([`quantise_weight`]) before the key is written, so the key and
+/// the built LP are those of the quantised ball LP, and
+/// [`slack`](PresentSweep::slack) records what the snap cost this ball.
+///
 /// The one ball-LP builder: the engine's present stage and the per-agent
 /// view rule ([`crate::local_averaging::local_averaging_activity_from_view`])
 /// both build their LPs here, so the two present bit-identical LPs.
 pub(crate) struct PresentSweep<'a> {
     instance: &'a MaxMinInstance,
+    /// Grid coarseness; `0.0` presents the exact coefficients.
+    epsilon: f64,
     /// `local_of[v]` is `v`'s index in the current ball, `usize::MAX` for
     /// agents outside it.
     local_of: Vec<usize>,
@@ -1674,18 +1655,23 @@ pub(crate) struct PresentSweep<'a> {
     /// every resource (`SEP_RESOURCE`, then `local, a` pairs) and every
     /// kept party (`SEP_PARTY`, then `local, c` pairs) in id order.
     key: Vec<u64>,
+    /// The measured slack `max w/q − 1` over the coefficients of the ball
+    /// last presented; `0.0` when `ε = 0`.
+    pub(crate) slack: f64,
 }
 
 impl<'a> PresentSweep<'a> {
-    pub(crate) fn new(instance: &'a MaxMinInstance) -> Self {
+    pub(crate) fn new(instance: &'a MaxMinInstance, epsilon: f64) -> Self {
         Self {
             instance,
+            epsilon,
             local_of: vec![usize::MAX; instance.num_agents()],
             resources: Vec::new(),
             party_candidates: Vec::new(),
             parties: Vec::new(),
             party_ends: Vec::new(),
             key: Vec::new(),
+            slack: 0.0,
         }
     }
 
@@ -1725,6 +1711,9 @@ impl<'a> PresentSweep<'a> {
         for &v in ball {
             self.local_of[v] = usize::MAX;
         }
+        if self.epsilon > 0.0 {
+            self.quantise();
+        }
 
         let key = &mut self.key;
         key.clear();
@@ -1748,6 +1737,21 @@ impl<'a> PresentSweep<'a> {
             }
             start = end;
         }
+    }
+
+    /// Snaps every kept coefficient onto the `(1+ε)^b` grid in place and
+    /// measures the slack the snap incurred.
+    fn quantise(&mut self) {
+        let epsilon = self.epsilon;
+        let mut slack = 0.0f64;
+        let mut snap = |w: &mut f64| {
+            let q = quantise_weight(*w, epsilon);
+            slack = slack.max(*w / q - 1.0);
+            *w = q;
+        };
+        self.resources.iter_mut().for_each(|(_, _, a)| snap(a));
+        self.parties.iter_mut().for_each(|(_, c)| snap(c));
+        self.slack = slack;
     }
 
     /// The number of parties lying entirely inside the ball last presented.
@@ -1784,34 +1788,9 @@ impl<'a> PresentSweep<'a> {
 }
 
 /// Stage 2 body: canonicalise a shard's presentations and build the
-/// shard-local class table (first-occurrence order).
+/// shard-local class table (first-occurrence order by canonical key).
 pub(crate) fn canonicalise_shard(instances: &[&MaxMinInstance]) -> ShardClasses {
     let forms: Vec<CanonicalForm> = instances.iter().map(|lp| canonical_form(lp)).collect();
-    let (class_reps, class_of) = class_table(&forms);
-    ShardClasses { forms, class_reps, class_of }
-}
-
-/// Stage 2 body, lifted variant: quantise every presentation onto the
-/// `(1+ε)^b` grid, canonicalise the quantised LPs and build the shard-local
-/// *quasi*-class table, recording each presentation's measured slack.  At
-/// `ε = 0` this is exactly [`canonicalise_shard`] with all-zero slacks.
-pub(crate) fn lift_shard(instances: &[&MaxMinInstance], epsilon: f64) -> ShardQuasiClasses {
-    let mut slacks = Vec::with_capacity(instances.len());
-    let forms: Vec<CanonicalForm> = instances
-        .iter()
-        .map(|lp| {
-            let quasi = quasi_canonical_form(lp, epsilon);
-            slacks.push(quasi.slack);
-            quasi.form
-        })
-        .collect();
-    let (class_reps, class_of) = class_table(&forms);
-    ShardQuasiClasses { classes: ShardClasses { forms, class_reps, class_of }, slacks }
-}
-
-/// The shard-local class dedup shared by [`canonicalise_shard`] and
-/// [`lift_shard`]: first-occurrence class numbering by canonical key.
-fn class_table(forms: &[CanonicalForm]) -> (Vec<usize>, Vec<usize>) {
     let mut by_key: HashMap<&CanonicalKey, usize> = HashMap::new();
     let mut class_reps: Vec<usize> = Vec::new();
     let mut class_of: Vec<usize> = Vec::with_capacity(forms.len());
@@ -1827,7 +1806,7 @@ fn class_table(forms: &[CanonicalForm]) -> (Vec<usize>, Vec<usize>) {
         };
         class_of.push(id);
     }
-    (class_reps, class_of)
+    ShardClasses { forms, class_reps, class_of }
 }
 
 /// Stage 3 body: solve a shard's canonical LPs, each cold and in order.
@@ -1983,7 +1962,7 @@ mod tests {
                     let cut = n / 3;
                     for range in [0..n, cut..n - cut] {
                         let agents: Vec<usize> = range.clone().collect();
-                        let got = present_shard(inst, &cache, radius, range);
+                        let got = present_shard(inst, &cache, radius, 0.0, range);
                         assert_matches_reference(
                             &format!("{label} cold"),
                             &got,
@@ -2017,6 +1996,38 @@ mod tests {
                         radius,
                         &agents,
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantised_presentations_match_the_quasi_canonical_reference() {
+        // Quantising in the sweep gives each ball the canonical form and
+        // slack that `quasi_canonical_form` gives its exact ball LP, and can
+        // only merge presentations.
+        use mmlp_core::canonical::quasi_canonical_form;
+        let mut rng = StdRng::seed_from_u64(5);
+        let skewed = skewed_bipartite_instance(
+            &SkewedBipartiteConfig { weight_jitter: 0.04, ..Default::default() },
+            &mut rng,
+        );
+        let random = random_instance(&RandomInstanceConfig::default(), &mut rng);
+        for inst in [&skewed, &random] {
+            let n = inst.num_agents();
+            let (h, _) = communication_hypergraph(inst);
+            let cache = h.neighbor_cache();
+            let exact = present_shard(inst, &cache, 1, 0.0, 0..n);
+            for epsilon in [0.01, 0.05, 0.5] {
+                let lifted = present_shard(inst, &cache, 1, epsilon, 0..n);
+                assert_eq!(lifted.balls, exact.balls);
+                assert!(lifted.reps.len() <= exact.reps.len());
+                for u in 0..n {
+                    let exact_lp = &exact.reps[exact.pres_of_ball[u]].instance;
+                    let quasi = quasi_canonical_form(exact_lp, epsilon);
+                    let form = canonical_form(&lifted.reps[lifted.pres_of_ball[u]].instance);
+                    assert_eq!(form, quasi.form, "ε={epsilon}, ball {u}");
+                    assert_eq!(lifted.slack_of_ball[u].to_bits(), quasi.slack.to_bits());
                 }
             }
         }
@@ -2211,7 +2222,7 @@ mod tests {
         let stages: Vec<&str> = batch.stats.stage_shards.iter().map(|s| s.stage).collect();
         assert_eq!(
             stages,
-            vec!["mmlp/present@1", "mmlp/canonicalise@1", "mmlp/solve@2", "mmlp/scatter@1"]
+            vec!["mmlp/present@2", "mmlp/canonicalise@1", "mmlp/solve@2", "mmlp/scatter@1"]
         );
         assert_eq!(batch.stats.stage_shards[0].items(), inst.num_agents());
         assert_eq!(batch.stats.stage_shards[3].items(), inst.num_agents());
@@ -2234,7 +2245,7 @@ mod tests {
         assert!(s.lp_solves <= s.unique_classes);
         assert_eq!(s.cache_hits, s.balls_enumerated - s.unique_classes);
         assert!(s.cache_hit_rate() > 0.0);
-        assert!(s.dedup_factor() > 1.0);
+        assert!(s.dedup_ratio() > 1.0);
         assert_eq!(batch.class_solutions.len(), s.unique_classes);
     }
 

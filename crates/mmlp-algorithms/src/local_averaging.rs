@@ -310,7 +310,7 @@ pub fn local_averaging_activity_from_view(
     // ball LP is solved on its *canonical* presentation — exactly what the
     // batched engine does centrally — so the per-agent rule reproduces the
     // central computation bit for bit.
-    let mut sweep = PresentSweep::new(&fragment);
+    let mut sweep = PresentSweep::new(&fragment, 0.0);
     let mut sum = 0.0;
     for ball in &balls {
         sweep.present(ball);

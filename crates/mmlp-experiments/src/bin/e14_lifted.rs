@@ -12,15 +12,18 @@
 //!
 //! 1. **ε × irregularity.**  A regular torus, a weight-jittered torus and a
 //!    degree-skewed random bipartite instance, each solved exactly and at a
-//!    grid of ε values: simplex solves, dedup ratio, measured slack and the
-//!    worst certified relative width, with the certificates audited against
-//!    the exact per-ball optima on every row.
+//!    grid of ε values: presentations, ball LPs built, simplex solves, dedup
+//!    ratio, measured slack and the worst certified relative width, with the
+//!    certificates audited against the exact per-ball optima on every row.
+//!    The present stage quantises before its dedup, so a row never has more
+//!    presentations than the exact run (asserted, also in smoke).
 //! 2. **The acceptance separation.**  On the skewed + jittered instance —
 //!    where exact dedup achieves ≤1.5× — the lifted mode at ε just above
 //!    the jitter must cut simplex solves by ≥5× (asserted, also in smoke).
-//! 3. **Backends.**  The lifted stage ships over the wire
-//!    (`mmlp/present-lifted@1`): sequential vs loopback shards vs real
-//!    subprocess workers, bit-identical intervals asserted.
+//! 3. **Backends.**  Lifted mode runs the exact pipeline's wire stages, with
+//!    ε in the `mmlp/present@2` context and per-ball slacks in its reply:
+//!    sequential vs loopback shards vs real subprocess workers,
+//!    bit-identical intervals asserted.
 //!
 //! Writes `BENCH_e14_lifted.json`.  Set `MMLP_E14_SMOKE=1` for a
 //! seconds-scale CI run of the same code.
@@ -33,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-const COLS: [usize; 9] = [26, 8, 8, 9, 9, 10, 11, 12, 10];
+const COLS: [usize; 11] = [26, 8, 8, 8, 8, 9, 9, 10, 11, 12, 10];
 
 fn lifted(radius: usize, epsilon: f64) -> LocalLpOptions {
     LocalLpOptions { mode: SolveMode::Lifted { epsilon }, ..LocalLpOptions::new(radius) }
@@ -118,6 +121,8 @@ fn main() {
         &[
             "instance / ε".into(),
             "balls".into(),
+            "pres".into(),
+            "built".into(),
             "classes".into(),
             "solves".into(),
             "dedup".into(),
@@ -139,11 +144,20 @@ fn main() {
             let wall_ms = clock.elapsed().as_secs_f64() * 1e3;
             audit_certificates(&format!("{name}, ε={epsilon}"), &run, &exact);
             let s = &run.stats;
+            // The quantised presentation key is a function of the exact one.
+            assert!(
+                s.distinct_presentations <= exact.stats.distinct_presentations,
+                "{name}, ε={epsilon}: {} lifted presentations > {} exact",
+                s.distinct_presentations,
+                exact.stats.distinct_presentations
+            );
             let width = worst_relative_width(&run);
             print_row(
                 &[
                     format!("{name} ε={epsilon}"),
                     s.balls_enumerated.to_string(),
+                    s.distinct_presentations.to_string(),
+                    s.lps_built.to_string(),
                     s.quasi_classes.to_string(),
                     s.lp_solves.to_string(),
                     fmt(s.dedup_ratio(), 1),
@@ -159,6 +173,8 @@ fn main() {
                 &[
                     ("epsilon", epsilon),
                     ("balls", s.balls_enumerated as f64),
+                    ("presentations", s.distinct_presentations as f64),
+                    ("lps_built", s.lps_built as f64),
                     ("quasi_classes", s.quasi_classes as f64),
                     ("solves", s.lp_solves as f64),
                     ("exact_solves", exact.stats.lp_solves as f64),
@@ -219,7 +235,7 @@ fn main() {
         exact.stats.lp_solves
     );
 
-    banner("E14c: the lifted stage over the wire (mmlp/present-lifted@1)");
+    banner("E14c: lifted mode over the wire (mmlp/present@2 carries ε and the slacks)");
     let subprocess_available = probe_worker(&WorkerCommand::CurrentExe)
         .map(|()| true)
         .unwrap_or_else(|e| {
@@ -252,8 +268,8 @@ fn main() {
             &[("wall_ms", wall_ms), ("solves", run.stats.lp_solves as f64)],
         );
     }
-    println!("\nEvery backend ships the quantised forms and measured slacks over the same");
-    println!("payload and lands on bit-identical certificates (asserted above).");
+    println!("\nEvery backend ships the quantised presentations and measured slacks over the");
+    println!("same payloads and lands on bit-identical certificates (asserted above).");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

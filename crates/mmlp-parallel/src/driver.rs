@@ -89,7 +89,7 @@ pub trait WireStage: Sync {
     type Output: Send;
 
     /// Stable stage identifier with a payload-version suffix (e.g.
-    /// `mmlp/present@1`), dispatched by the worker's registry.
+    /// `mmlp/present@2`), dispatched by the worker's registry.
     fn stage_id(&self) -> &'static str;
 
     /// Encodes the stage-shared context (sent once per worker per stage).

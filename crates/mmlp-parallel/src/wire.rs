@@ -26,7 +26,7 @@
 //! **Versioning rule.**  [`WIRE_VERSION`] names the *framing* layout above
 //! and is checked on every decode; it is bumped whenever the header layout
 //! changes.  The layout of each stage's payload is versioned separately, by
-//! a `@<n>` suffix in the stage identifier (e.g. `mmlp/present@1`): a
+//! a `@<n>` suffix in the stage identifier (e.g. `mmlp/present@2`): a
 //! payload change bumps the suffix, so an old worker simply reports an
 //! unknown stage instead of misreading bytes.
 //!

@@ -17,6 +17,7 @@
 //! end-to-end bit-identity); they skip with a log line where the sandbox
 //! cannot fork/exec.
 
+use maxmin_local_lp::parallel::{StageRun, WireStage};
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -196,9 +197,51 @@ fn unknown_stage_is_a_typed_worker_error() {
     let backend = LoopbackBackend::new(empty, 2);
     match solve_local_lps_on(&inst, &LocalLpOptions::new(1), &backend) {
         Err(EngineError::Transport(TransportError::Worker { message, .. })) => {
-            assert!(message.contains("mmlp/present@1"), "unexpected message: {message}");
+            assert!(message.contains("mmlp/present@2"), "unexpected message: {message}");
         }
         other => panic!("expected a worker error, got {other:?}"),
+    }
+}
+
+/// A stage that claims a retired engine stage id.
+struct RetiredStage(&'static str);
+
+impl WireStage for RetiredStage {
+    type Output = ();
+
+    fn stage_id(&self) -> &'static str {
+        self.0
+    }
+
+    fn encode_context(&self, _out: &mut Vec<u8>) {}
+
+    fn encode_job(&self, _shard: &Shard, _out: &mut Vec<u8>) {}
+
+    fn decode_reply(&self, _shard: &Shard, _payload: &[u8]) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn run_local(&self, _shard: &Shard) {}
+}
+
+#[test]
+fn a_worker_asked_for_a_retired_engine_stage_answers_unknown_stage() {
+    // The lifted canonicalise stage (quantisation moved into the present
+    // stage) and the present payloads it superseded.
+    for id in ["mmlp/present-lifted@1", "mmlp/present@1", "mmlp/present-delta@1"] {
+        let expect_unknown =
+            |label: &str, result: Result<StageRun<()>, TransportError>| match result {
+                Err(TransportError::Worker { message, .. }) => assert!(
+                    message.contains(&format!("does not know stage `{id}`")),
+                    "{label}: {message}"
+                ),
+                other => panic!("{label}: expected an unknown-stage worker error, got {other:?}"),
+            };
+        let loopback = LoopbackBackend::new(engine_registry(), 2);
+        expect_unknown("loopback", loopback.execute_stage(4, &RetiredStage(id)));
+        // The real worker binary (loopback where the sandbox cannot spawn).
+        let subprocess = SubprocessBackend::new(2, engine_registry());
+        expect_unknown("subprocess", subprocess.execute_stage(4, &RetiredStage(id)));
     }
 }
 
