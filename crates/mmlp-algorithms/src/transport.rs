@@ -4,13 +4,13 @@
 //!
 //! Each of the four engine stages is one registered wire stage:
 //!
-//! | stage id               | context                          | job (per shard)                | reply                      |
-//! |------------------------|----------------------------------|--------------------------------|----------------------------|
-//! | `mmlp/present@2`       | radius + grid coarseness `ε` + full instance | agent range        | `ShardPresentation` (with per-ball slacks) |
-//! | `mmlp/present-delta@2` | radius + version + base instance | weight edits + affected agents | `ShardPresentation`        |
-//! | `mmlp/canonicalise@1`  | —                                | the shard's presented LPs      | `ShardClasses`             |
-//! | `mmlp/solve@2`         | simplex options                  | canonical LP list              | solved LPs / typed errors  |
-//! | `mmlp/scatter@1`       | deduplicated solutions           | (labelling, solution idx) list | per-ball activity vectors  |
+//! | stage id               | context                          | job (per shard)                | reply                        |
+//! |------------------------|----------------------------------|--------------------------------|------------------------------|
+//! | `mmlp/present@2`       | radius + `ε` + full instance     | agent range                    | `ShardPresentation` + slacks |
+//! | `mmlp/present-delta@2` | radius + version + base instance | weight edits + affected agents | `ShardPresentation`          |
+//! | `mmlp/canonicalise@1`  | —                                | the shard's presented LPs      | `ShardClasses`               |
+//! | `mmlp/solve@2`         | simplex options                  | canonical LP list              | solved LPs / typed errors    |
+//! | `mmlp/scatter@1`       | deduplicated solutions           | (labelling, solution idx) list | per-ball activity vectors    |
 //!
 //! The lifted mode runs these same stages: the present stage quantises the
 //! ball LPs onto the `(1+ε)^b` grid and reports each ball's measured slack.
