@@ -1754,6 +1754,12 @@ impl<'a> PresentSweep<'a> {
         self.slack = slack;
     }
 
+    /// The presentation key of the ball last presented: exact coefficient
+    /// bits and ball-local indices, so equal keys mean identical LPs.
+    pub(crate) fn key(&self) -> &[u64] {
+        &self.key
+    }
+
     /// The number of parties lying entirely inside the ball last presented.
     pub(crate) fn num_parties(&self) -> usize {
         self.party_ends.len()

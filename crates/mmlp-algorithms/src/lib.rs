@@ -56,7 +56,7 @@ pub use engine::{
 };
 pub use local_averaging::{
     local_averaging, local_averaging_activity_from_view, LocalAveragingOptions,
-    LocalAveragingResult,
+    LocalAveragingResult, RuleStats,
 };
 pub use runner::{
     apply_rule_direct, run_local_rule, run_wire_rule, views_direct, LocalRuleProgram, LocalRun,

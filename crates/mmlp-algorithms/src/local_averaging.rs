@@ -24,16 +24,27 @@
 //! The central computation dispatches the per-agent local LPs through the
 //! batched local-LP engine ([`crate::engine`]): structurally identical ball
 //! LPs are detected by canonicalisation and solved once.  The view rule
-//! solves every ball LP of its own view, sharing nothing with other agents,
-//! but builds each with the engine's ball enumeration and presentation
-//! sweep — one ball-LP builder for both.  Because every path solves the
-//! *canonical* form of each ball LP, the batched default, the
-//! [`SolveMode::NaivePerAgent`] reference mode and the view-based rule all
-//! produce bit-identical solutions; the engine's [`SolveStats`] are
+//! builds every ball LP of its own view with the engine's ball enumeration
+//! and presentation sweep — one ball-LP builder for both.  Because every
+//! path solves the *canonical* form of each ball LP, the batched default,
+//! the [`SolveMode::NaivePerAgent`] reference mode and the view-based rule
+//! all produce bit-identical solutions; the engine's [`SolveStats`] are
 //! surfaced in [`LocalAveragingResult::stats`].
+//!
+//! The rule's one body takes a memo keyed on the presentation key words
+//! (exact coefficient bits and ball-local indices), whose value is the
+//! ball's local optimum in presentation order.  A simulator evaluating many
+//! nodes' rules in one process hands them one memo per run
+//! ([`crate::runner::LocalRuleProgram`]), so a ball that lies in many views
+//! is built, canonicalised and solved once there; the public
+//! [`local_averaging_activity_from_view`] passes a fresh memo and shares
+//! nothing.  Every node still *computes* each of its ball LPs — the memo
+//! only lets the simulator skip repeating identical pure work, which
+//! [`RuleStats`] counts.
 
 use crate::engine::{
-    solve_local_lps, EngineError, LocalLpOptions, PresentSweep, SolveMode, SolveStats,
+    solve_local_lps, unpermute_values, EngineError, LocalLpOptions, PresentSweep, SolveMode,
+    SolveStats,
 };
 use mmlp_core::canonical::canonical_form;
 use mmlp_core::{AgentId, InstanceBuilder, MaxMinInstance, PartyId, ResourceId, Solution};
@@ -41,6 +52,9 @@ use mmlp_distsim::LocalView;
 use mmlp_hypergraph::{communication_hypergraph, BallEnumerator};
 use mmlp_lp::{solve_maxmin_with, SimplexOptions};
 use mmlp_parallel::{BackendKind, ParallelConfig};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Options of the local averaging algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -245,6 +259,70 @@ pub fn local_averaging(
     })
 }
 
+/// What the per-node rule computed through one ball-LP memo: the ball LPs
+/// its nodes evaluated and how many of them were built, canonicalised and
+/// solved rather than answered by the memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuleStats {
+    /// Ball LPs `B(u, R)`, `u ∈ V^j`, that keep a party, summed over the
+    /// evaluated views `j` — the LPs the nodes compute.
+    pub lps: u64,
+    /// Of those, the ones solved (memo misses).  Concurrent views may both
+    /// miss on one key, so with parallel shards this can exceed the number
+    /// of distinct keys.
+    pub solves: u64,
+}
+
+/// Ball-LP optima of the per-node averaging rule, keyed on the presentation
+/// key words (exact coefficient bits plus ball-local indices), each value
+/// the ball's local optimum in presentation order.  Because keys are exact,
+/// a hit returns the bits a solve would: correctness never depends on which
+/// views share a memo, only the work done does.
+///
+/// The lock is held for lookups and inserts only, never while a ball LP is
+/// built, canonicalised or solved.
+#[derive(Debug, Default)]
+pub(crate) struct RuleMemo {
+    table: Mutex<HashMap<Vec<u64>, Vec<f64>>>,
+    lps: AtomicU64,
+    solves: AtomicU64,
+}
+
+impl RuleMemo {
+    /// Forgets every entry and zeroes the counters.
+    pub(crate) fn clear(&self) {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.lps.store(0, Ordering::Relaxed);
+        self.solves.store(0, Ordering::Relaxed);
+    }
+
+    /// The counters since the last [`clear`](RuleMemo::clear).
+    pub(crate) fn stats(&self) -> RuleStats {
+        RuleStats {
+            lps: self.lps.load(Ordering::Relaxed),
+            solves: self.solves.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Entry `pos` of the optimum stored under `key`, computing it with
+    /// `solve` (outside the lock) on a miss.
+    fn activity(&self, key: &[u64], pos: usize, solve: impl FnOnce() -> Vec<f64>) -> f64 {
+        self.lps.fetch_add(1, Ordering::Relaxed);
+        if let Some(x) = self.table.lock().unwrap_or_else(PoisonError::into_inner).get(key) {
+            return x[pos];
+        }
+        let x = solve();
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        let value = x[pos];
+        self.table
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key.to_vec())
+            .or_insert(x);
+        value
+    }
+}
+
 /// The local averaging algorithm as a per-agent rule operating on a
 /// radius-`2R+1` local view (the honest distributed form referenced in
 /// Section 5.1: "the agent j makes the following choice, which depends only
@@ -253,6 +331,7 @@ pub fn local_averaging(
 /// The rule rebuilds the fragment of the instance its view shows, then
 /// computes `V^j`, `β_j` and every ball LP (9) of `V^u ∋ j` with the
 /// engine's own ball enumeration and presentation sweep, each ball once.
+/// It shares nothing with other calls (a fresh memo each time).
 ///
 /// # Panics
 ///
@@ -261,6 +340,17 @@ pub fn local_averaging_activity_from_view(
     view: &LocalView,
     radius: usize,
     simplex: &SimplexOptions,
+) -> f64 {
+    activity_from_view(view, radius, simplex, &RuleMemo::default())
+}
+
+/// The body of [`local_averaging_activity_from_view`], answering ball LPs
+/// from `memo` where it can.
+pub(crate) fn activity_from_view(
+    view: &LocalView,
+    radius: usize,
+    simplex: &SimplexOptions,
+    memo: &RuleMemo,
 ) -> f64 {
     assert!(radius >= 1, "local averaging requires R ≥ 1");
     assert!(
@@ -309,7 +399,8 @@ pub fn local_averaging_activity_from_view(
     // Σ_{u ∈ V^j} x^u_j over the local LPs of every ball containing j.  Each
     // ball LP is solved on its *canonical* presentation — exactly what the
     // batched engine does centrally — so the per-agent rule reproduces the
-    // central computation bit for bit.
+    // central computation bit for bit.  The fragment presents a ball with
+    // the same key as the full instance, so views share memo entries.
     let mut sweep = PresentSweep::new(&fragment, 0.0);
     let mut sum = 0.0;
     for ball in &balls {
@@ -317,11 +408,13 @@ pub fn local_averaging_activity_from_view(
         if sweep.num_parties() == 0 {
             continue;
         }
-        let form = canonical_form(&sweep.build(ball.len()));
-        let opt = solve_maxmin_with(&form.instance, simplex)
-            .expect("local LPs of validated instances are solvable");
         let pos = ball.binary_search(&j).expect("j ∈ V^u because u ∈ V^j");
-        sum += opt.solution.activity(AgentId::new(form.labelling[pos]));
+        sum += memo.activity(sweep.key(), pos, || {
+            let form = canonical_form(&sweep.build(ball.len()));
+            let opt = solve_maxmin_with(&form.instance, simplex)
+                .expect("local LPs of validated instances are solvable");
+            unpermute_values(&form.labelling, opt.solution.activities())
+        });
     }
     beta / v_j.len() as f64 * sum
 }

@@ -17,6 +17,7 @@
 //!   transport boundary — on worker processes when the simulator selects
 //!   the subprocess backend.
 
+use crate::local_averaging::{activity_from_view, RuleMemo, RuleStats};
 use crate::safe::{safe_activity_from_view, SAFE_HORIZON};
 use crate::transport::engine_registry;
 use mmlp_core::{AgentId, MaxMinInstance, Solution};
@@ -98,8 +99,9 @@ pub fn views_direct(
 }
 
 /// Program identifier of the gather-then-decide rule program on the wire
-/// (`@1` is the payload version of its config codec).
-pub const LOCAL_RULE_PROGRAM_ID: &str = "mmlp/prog/local-rule@1";
+/// (`@2` is the payload version of its config codec and of the gathering
+/// protocol's state and message codecs it rides on; `@1` is retired).
+pub const LOCAL_RULE_PROGRAM_ID: &str = "mmlp/prog/local-rule@2";
 
 /// Which of the paper's view-based rules a [`LocalRuleProgram`] applies once
 /// its local horizon is gathered.
@@ -136,11 +138,19 @@ impl WireRule {
 /// options, so the whole algorithm runs through the worker-resident
 /// `mmlp/sim-epoch@1` stage on any backend — including real worker
 /// processes, which keep each node's gathered view between rounds.
-#[derive(Debug, Clone)]
+///
+/// Each copy of the program (the host's, and each worker's decoded copy)
+/// owns one averaging-rule memo that the nodes it steps share: a ball LP
+/// that many views contain is solved once per copy and run.  The memo is
+/// reset when a run starts ([`NodeProgram::begin_run`]) and never outlives
+/// one, so the work a run does never depends on earlier runs — a worker's
+/// decoded program survives across runs in its stage cache.
+#[derive(Debug)]
 pub struct LocalRuleProgram {
     rule: WireRule,
     simplex: SimplexOptions,
     gather: GatherProgram,
+    memo: RuleMemo,
 }
 
 impl LocalRuleProgram {
@@ -153,7 +163,8 @@ impl LocalRuleProgram {
         if let WireRule::LocalAveraging { radius } = rule {
             assert!(radius >= 1, "local averaging requires R ≥ 1");
         }
-        Self { rule, simplex, gather: GatherProgram::new(instance, rule.horizon()) }
+        let gather = GatherProgram::new(instance, rule.horizon());
+        Self { rule, simplex, gather, memo: RuleMemo::default() }
     }
 
     /// The rule this program applies.
@@ -161,15 +172,19 @@ impl LocalRuleProgram {
         self.rule
     }
 
+    /// What the averaging rule computed through this copy's memo since the
+    /// current run started (all zero for the safe rule).  Only the copy that
+    /// stepped the nodes has counted them: the host's program after an
+    /// in-process run, a worker's copy after a transport run.
+    pub fn rule_stats(&self) -> RuleStats {
+        self.memo.stats()
+    }
+
     fn apply(&self, view: &LocalView) -> f64 {
         match self.rule {
             WireRule::Safe => safe_activity_from_view(view),
             WireRule::LocalAveraging { radius } => {
-                crate::local_averaging::local_averaging_activity_from_view(
-                    view,
-                    radius,
-                    &self.simplex,
-                )
+                activity_from_view(view, radius, &self.simplex, &self.memo)
             }
         }
     }
@@ -179,6 +194,10 @@ impl NodeProgram for LocalRuleProgram {
     type State = GatherState;
     type Message = GatherMessage;
     type Output = f64;
+
+    fn begin_run(&self) {
+        self.memo.clear();
+    }
 
     fn init(&self, node: usize, network: &Network) -> GatherState {
         self.gather.init(node, network)
@@ -245,7 +264,7 @@ impl WireProgram for LocalRuleProgram {
         if gather.radius() != rule.horizon() {
             return Err(WireError::Decode { context: CTX });
         }
-        Ok(Self { rule, simplex, gather })
+        Ok(Self { rule, simplex, gather, memo: RuleMemo::default() })
     }
 
     fn encode_state(&self, state: &GatherState, out: &mut Vec<u8>) {

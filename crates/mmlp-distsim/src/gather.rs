@@ -14,6 +14,13 @@
 //! The number of rounds used is therefore exactly the local horizon `r`, and
 //! the message volume reported by the simulator measures the true
 //! communication cost of the algorithm.
+//!
+//! A record is named on the wire by its agent id: every copy of the program
+//! holds all native records in its configuration (the knowledge table), so
+//! messages and states carry ids and distances only, and the view is built
+//! from the table when the node halts.  A message still *counts* the records
+//! it forwards ([`MessageSize`]), so the communication accounting is that of
+//! the protocol shipping records.
 
 use crate::network::Network;
 use crate::program::{Action, MessageSize, NodeProgram, WireProgram};
@@ -25,7 +32,6 @@ use mmlp_hypergraph::communication_hypergraph;
 use mmlp_parallel::wire::{put_f64, put_usize, ByteReader, WireError};
 use mmlp_parallel::BackendKind;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The information an agent holds at system startup (Section 1.4): its own
 /// coefficients towards the resources it consumes and the parties it serves.
@@ -47,25 +53,27 @@ impl LocalKnowledge {
     }
 }
 
-/// A gathering message: the knowledge records the sender first learned in the
-/// previous round.
+/// A gathering message: the agents whose knowledge records the sender first
+/// learned in the previous round, in ascending id order.  The records
+/// themselves are looked up in the program's knowledge table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatherMessage {
-    /// The forwarded records.
-    pub records: Vec<LocalKnowledge>,
+    /// The agents whose records are forwarded.
+    pub agents: Vec<AgentId>,
 }
 
 impl MessageSize for GatherMessage {
+    /// One unit per forwarded record.
     fn size_units(&self) -> u64 {
-        self.records.len() as u64
+        self.agents.len() as u64
     }
 }
 
-/// Per-node state of the gathering protocol.
-#[derive(Debug, Clone)]
+/// Per-node state of the gathering protocol: every agent known so far with
+/// its distance from the node, in ascending id order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatherState {
-    known: BTreeMap<u32, (usize, LocalKnowledge)>,
-    fresh: Vec<LocalKnowledge>,
+    known: Vec<(AgentId, usize)>,
 }
 
 /// The gathering protocol as a [`NodeProgram`].
@@ -89,6 +97,19 @@ impl GatherProgram {
     pub fn radius(&self) -> usize {
         self.radius
     }
+
+    /// Reads an agent id that must name a row of the knowledge table.
+    fn read_agent(
+        &self,
+        r: &mut ByteReader<'_>,
+        context: &'static str,
+    ) -> Result<AgentId, WireError> {
+        let id = r.usize(context)?;
+        if id >= self.knowledge.len() {
+            return Err(WireError::Decode { context });
+        }
+        Ok(AgentId::new(id))
+    }
 }
 
 impl NodeProgram for GatherProgram {
@@ -97,10 +118,7 @@ impl NodeProgram for GatherProgram {
     type Output = LocalView;
 
     fn init(&self, node: usize, _network: &Network) -> GatherState {
-        let own = self.knowledge[node].clone();
-        let mut known = BTreeMap::new();
-        known.insert(own.agent.0, (0usize, own.clone()));
-        GatherState { known, fresh: vec![own] }
+        GatherState { known: vec![(AgentId::new(node), 0)] }
     }
 
     fn step(
@@ -111,31 +129,32 @@ impl NodeProgram for GatherProgram {
         round: usize,
         _network: &Network,
     ) -> Action<GatherMessage, LocalView> {
-        // Records arriving in round `t` travelled over `t` hops, so their
-        // distance from this node is exactly `t` (if not already known at a
-        // smaller distance).
-        let mut fresh = Vec::new();
-        for (_, message) in inbox {
-            for record in &message.records {
-                if let std::collections::btree_map::Entry::Vacant(e) =
-                    state.known.entry(record.agent.0)
-                {
-                    e.insert((round, record.clone()));
-                    fresh.push(record.clone());
-                }
-            }
-        }
-        if round == 0 {
-            // The initial "fresh" record is the agent's own knowledge set in
-            // `init`; nothing arrives in round 0.
-            fresh = std::mem::take(&mut state.fresh);
-        }
+        let fresh = if round == 0 {
+            // The node's own record, known since `init`; nothing arrives in
+            // round 0.
+            vec![AgentId::new(node)]
+        } else {
+            // Records arriving in round `t` travelled over `t` hops, so their
+            // distance from this node is exactly `t` (if not already known
+            // at a smaller distance).
+            let mut fresh: Vec<AgentId> = inbox
+                .iter()
+                .flat_map(|(_, message)| message.agents.iter().copied())
+                .collect();
+            fresh.sort_unstable();
+            fresh.dedup();
+            let known = &state.known;
+            fresh.retain(|v| known.binary_search_by_key(v, |&(id, _)| id).is_err());
+            state.known.extend(fresh.iter().map(|&v| (v, round)));
+            state.known.sort_unstable_by_key(|&(id, _)| id);
+            fresh
+        };
 
         if round >= self.radius {
             let view = LocalView::from_records(
                 AgentId::new(node),
                 self.radius,
-                state.known.iter().map(|(&id, (d, k))| (AgentId(id), *d, k.clone())),
+                state.known.iter().map(|&(v, d)| (v, d, self.knowledge[v.index()].clone())),
             );
             return Action::Halt(view);
         }
@@ -144,7 +163,7 @@ impl NodeProgram for GatherProgram {
             // horizon is reached (neighbours may still send us records).
             return Action::Idle;
         }
-        Action::Broadcast(GatherMessage { records: fresh })
+        Action::Broadcast(GatherMessage { agents: fresh })
     }
 }
 
@@ -154,9 +173,10 @@ impl NodeProgram for GatherProgram {
 // `WireProgram` the simulator can run across the transport boundary.
 // ---------------------------------------------------------------------------
 
-/// Program identifier of the gathering protocol on the wire (`@1` is the
-/// payload version of its config/state/message/output codecs).
-pub const GATHER_PROGRAM_ID: &str = "mmlp/prog/gather@1";
+/// Program identifier of the gathering protocol on the wire (`@2` is the
+/// payload version of its config/state/message/output codecs; `@1`, whose
+/// states and messages carried whole knowledge records, is retired).
+pub const GATHER_PROGRAM_ID: &str = "mmlp/prog/gather@2";
 
 fn put_id_f64_pairs<I: Into<usize> + Copy>(out: &mut Vec<u8>, pairs: &[(I, f64)]) {
     put_usize(out, pairs.len());
@@ -269,42 +289,53 @@ impl WireProgram for GatherProgram {
     }
 
     fn decode_config(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let radius = r.usize("gather config")?;
-        let knowledge = read_records(r, "gather config")?;
+        const CTX: &str = "gather config";
+        let radius = r.usize(CTX)?;
+        let knowledge = read_records(r, CTX)?;
+        // States and messages name records by agent id, which indexes this
+        // table: record `i` must be agent `i`'s.
+        if knowledge.iter().enumerate().any(|(i, k)| k.agent.index() != i) {
+            return Err(WireError::Decode { context: CTX });
+        }
         Ok(Self { radius, knowledge })
     }
 
     fn encode_state(&self, state: &GatherState, out: &mut Vec<u8>) {
-        // The map key is always the record's own agent id, so only the
-        // `(distance, record)` pairs travel; iteration order (sorted by
-        // agent id) makes the encoding canonical.
         put_usize(out, state.known.len());
-        for (distance, record) in state.known.values() {
-            put_usize(out, *distance);
-            put_knowledge(out, record);
+        for &(agent, distance) in &state.known {
+            put_usize(out, agent.index());
+            put_usize(out, distance);
         }
-        put_records(out, &state.fresh);
     }
 
     fn decode_state(&self, r: &mut ByteReader<'_>) -> Result<GatherState, WireError> {
         const CTX: &str = "gather state";
-        let len = r.seq_len(32, CTX)?;
-        let mut known = BTreeMap::new();
+        let len = r.seq_len(16, CTX)?;
+        let mut known: Vec<(AgentId, usize)> = Vec::with_capacity(len);
         for _ in 0..len {
-            let distance = r.usize(CTX)?;
-            let record = read_knowledge(r)?;
-            known.insert(record.agent.0, (distance, record));
+            let agent = self.read_agent(r, CTX)?;
+            // Strictly ascending ids: the canonical encoding, and what
+            // `step`'s binary search relies on.
+            if known.last().is_some_and(|&(previous, _)| previous >= agent) {
+                return Err(WireError::Decode { context: CTX });
+            }
+            known.push((agent, r.usize(CTX)?));
         }
-        let fresh = read_records(r, CTX)?;
-        Ok(GatherState { known, fresh })
+        Ok(GatherState { known })
     }
 
     fn encode_message(&self, message: &GatherMessage, out: &mut Vec<u8>) {
-        put_records(out, &message.records);
+        put_usize(out, message.agents.len());
+        for agent in &message.agents {
+            put_usize(out, agent.index());
+        }
     }
 
     fn decode_message(&self, r: &mut ByteReader<'_>) -> Result<GatherMessage, WireError> {
-        Ok(GatherMessage { records: read_records(r, "gather message")? })
+        const CTX: &str = "gather message";
+        let len = r.seq_len(8, CTX)?;
+        let agents = (0..len).map(|_| self.read_agent(r, CTX)).collect::<Result<_, _>>()?;
+        Ok(GatherMessage { agents })
     }
 
     fn encode_output(&self, output: &LocalView, out: &mut Vec<u8>) {
@@ -347,28 +378,8 @@ pub fn gather_views(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_topology::path_instance;
     use mmlp_core::InstanceBuilder;
-
-    /// A path of `n` agents connected by shared resources, one party per
-    /// agent.
-    fn path_instance(n: usize) -> MaxMinInstance {
-        let mut b = InstanceBuilder::new();
-        let v = b.add_agents(n);
-        for w in v.windows(2) {
-            let i = b.add_resource();
-            b.set_consumption(i, w[0], 1.0);
-            b.set_consumption(i, w[1], 1.0);
-        }
-        if n == 1 {
-            let i = b.add_resource();
-            b.set_consumption(i, v[0], 1.0);
-        }
-        for &vv in &v {
-            let k = b.add_party();
-            b.set_benefit(k, vv, 1.0);
-        }
-        b.build().unwrap()
-    }
 
     #[test]
     fn gathered_views_match_direct_construction() {
@@ -576,10 +587,9 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         let decoded = program.decode_state(&mut r).unwrap();
         assert!(r.is_empty());
-        assert_eq!(decoded.known, state.known);
-        assert_eq!(decoded.fresh, state.fresh);
+        assert_eq!(decoded, state);
 
-        let message = GatherMessage { records: program.knowledge.clone() };
+        let message = GatherMessage { agents: inst.agent_ids().collect() };
         let mut bytes = Vec::new();
         program.encode_message(&message, &mut bytes);
         let decoded = program.decode_message(&mut ByteReader::new(&bytes)).unwrap();
@@ -590,6 +600,52 @@ mod tests {
         program.encode_output(&view, &mut bytes);
         let decoded = program.decode_output(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(decoded, view);
+    }
+
+    #[test]
+    fn ids_outside_the_knowledge_table_are_decode_errors() {
+        use mmlp_parallel::wire::ByteReader;
+        let inst = path_instance(5);
+        let program = GatherProgram::new(&inst, 2);
+        let is_decode_error =
+            |result: Result<(), WireError>| matches!(result, Err(WireError::Decode { .. }));
+
+        // A message naming agent 5 of a 5-agent instance.
+        let mut bytes = Vec::new();
+        put_usize(&mut bytes, 2);
+        put_usize(&mut bytes, 1);
+        put_usize(&mut bytes, 5);
+        let decoded = program.decode_message(&mut ByteReader::new(&bytes)).map(drop);
+        assert!(is_decode_error(decoded));
+
+        // States: an id past the table, and ids out of order or repeated.
+        let state = |entries: &[(usize, usize)]| {
+            let mut bytes = Vec::new();
+            put_usize(&mut bytes, entries.len());
+            for &(agent, distance) in entries {
+                put_usize(&mut bytes, agent);
+                put_usize(&mut bytes, distance);
+            }
+            program.decode_state(&mut ByteReader::new(&bytes)).map(drop)
+        };
+        assert!(state(&[(0, 1), (2, 0), (4, 2)]).is_ok());
+        assert!(is_decode_error(state(&[(0, 1), (7, 0)])));
+        assert!(is_decode_error(state(&[(2, 0), (1, 1)])));
+        assert!(is_decode_error(state(&[(2, 0), (2, 1)])));
+    }
+
+    #[test]
+    fn a_config_whose_records_are_out_of_agent_order_is_rejected() {
+        use mmlp_parallel::wire::ByteReader;
+        let inst = path_instance(4);
+        let mut program = GatherProgram::new(&inst, 1);
+        program.knowledge.swap(1, 2);
+        let mut bytes = Vec::new();
+        program.encode_config(&mut bytes);
+        match GatherProgram::decode_config(&mut ByteReader::new(&bytes)) {
+            Err(WireError::Decode { context }) => assert_eq!(context, "gather config"),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
 
     #[test]

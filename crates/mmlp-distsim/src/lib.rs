@@ -56,6 +56,7 @@ pub use view::LocalView;
 #[cfg(test)]
 pub(crate) mod test_topology {
     use crate::network::Network;
+    use mmlp_core::{InstanceBuilder, MaxMinInstance};
 
     /// The n-node path `0 – 1 – … – n-1`.
     pub(crate) fn path_network(n: usize) -> Network {
@@ -65,5 +66,26 @@ pub(crate) mod test_topology {
             adj[v + 1].push(v);
         }
         Network::from_adjacency(adj)
+    }
+
+    /// A path of `n` agents connected by shared resources, one party per
+    /// agent (its communication network is `path_network(n)`).
+    pub(crate) fn path_instance(n: usize) -> MaxMinInstance {
+        let mut b = InstanceBuilder::new();
+        let v = b.add_agents(n);
+        for w in v.windows(2) {
+            let i = b.add_resource();
+            b.set_consumption(i, w[0], 1.0);
+            b.set_consumption(i, w[1], 1.0);
+        }
+        if n == 1 {
+            let i = b.add_resource();
+            b.set_consumption(i, v[0], 1.0);
+        }
+        for &vv in &v {
+            let k = b.add_party();
+            b.set_benefit(k, vv, 1.0);
+        }
+        b.build().unwrap()
     }
 }

@@ -72,6 +72,14 @@ pub trait NodeProgram: Sync {
     /// Final per-node output.
     type Output: Send;
 
+    /// Called once when a run starts, before its first round, on every copy
+    /// of the program that steps nodes (the host's, and each worker's
+    /// decoded copy when the worker meets a new run).  A program that keeps
+    /// per-run scratch behind `&self` — such as a memo of pure work — resets
+    /// it here, so nothing it holds outlives one run.  The default does
+    /// nothing.
+    fn begin_run(&self) {}
+
     /// Creates the initial state of `node` (its "knowledge at system
     /// startup").
     fn init(&self, node: usize, network: &Network) -> Self::State;
@@ -143,7 +151,7 @@ pub trait NodeProgram: Sync {
 ///
 /// let program = GatherProgram::new(&inst, 1);
 /// // The versioned identifier worker-side dispatchers key on.
-/// assert_eq!(program.program_id(), "mmlp/prog/gather@1");
+/// assert_eq!(program.program_id(), "mmlp/prog/gather@2");
 ///
 /// // A node state round-trips through bytes bit-identically.
 /// let (h, _) = communication_hypergraph(&inst);
@@ -161,7 +169,7 @@ where
     Self::State: Clone + Sync,
 {
     /// Stable program identifier with a payload-version suffix (e.g.
-    /// `mmlp/prog/gather@1`), dispatched by the worker-side sim-epoch
+    /// `mmlp/prog/gather@2`), dispatched by the worker-side sim-epoch
     /// handler.
     fn program_id(&self) -> &'static str;
 

@@ -605,8 +605,9 @@ where
 // ---------------------------------------------------------------------------
 
 /// The worker-side resident state of an epoch run: the decoded program and
-/// network (cached once per context, like every stage) plus the resident
-/// shard states, keyed by shard start.
+/// network (cached once per context, like every stage), the resident shard
+/// states, keyed by shard start, and the token of the run the program last
+/// served (a job with another token starts a run: [`NodeProgram::begin_run`]).
 struct SimEpochWorker<P: WireProgram>
 where
     P::State: Clone + Sync,
@@ -614,6 +615,7 @@ where
     program: P,
     network: Network,
     shards: HashMap<usize, EpochResident<P::State, P::Message>>,
+    run_token: Option<u64>,
 }
 
 /// The worker-side body of one sim-epoch job for a concrete program type.
@@ -662,9 +664,9 @@ where
                 ));
             }
             let network = read_network(&mut r).map_err(wire_err)?;
-            Ok(SimEpochWorker { program, network, shards: HashMap::new() })
+            Ok(SimEpochWorker { program, network, shards: HashMap::new(), run_token: None })
         })?;
-        let SimEpochWorker { program, network, shards } = worker;
+        let SimEpochWorker { program, network, shards, run_token } = worker;
         for blob in restores {
             let (_round, start, _end, resident) =
                 read_snapshot(program, &blob).map_err(wire_err)?;
@@ -725,6 +727,14 @@ where
                 ));
             }
         };
+
+        // The decoded program outlives runs in the stage cache, so its
+        // per-run scratch is reset whenever a job belongs to another run
+        // than the last one this worker served.
+        if *run_token != Some(token) {
+            program.begin_run();
+            *run_token = Some(token);
+        }
 
         if round + 1 == resident.next_round {
             // A recovery replay re-delivered the round we just answered:
@@ -1122,6 +1132,77 @@ mod tests {
                 other => panic!("target {target}: expected a decode error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn gather_ids_past_the_network_are_decode_errors_in_replies_and_snapshots() {
+        use crate::gather::{GatherMessage, GatherProgram};
+        use crate::test_topology::path_instance;
+        use mmlp_core::AgentId;
+        let net = path_network(4);
+        let program = GatherProgram::new(&path_instance(4), 2);
+        let is_decode_error =
+            |result: Result<(), WireError>| matches!(result, Err(WireError::Decode { .. }));
+
+        // A reply whose boundary-crossing broadcast names agent 9 of 4: the
+        // host rejects it while decoding, before any node could halt on it.
+        let running = [true; 4];
+        let inboxes: Vec<Vec<(usize, GatherMessage)>> = vec![Vec::new(); 4];
+        let resident: Vec<ResidentSlot<GatherProgram>> = (0..4).map(|_| Mutex::new(None)).collect();
+        let stage = SimEpochStage {
+            program: &program,
+            network: &net,
+            round: 1,
+            snapshot: false,
+            token: 1,
+            running: &running,
+            inboxes: &inboxes,
+            resident: &resident,
+        };
+        let shard = Shard { index: 0, start: 0, end: 2 };
+        let reply = |agent: usize| {
+            let message = GatherMessage { agents: vec![AgentId::new(agent)] };
+            let units = 1;
+            let steps: Vec<EpochStep<GatherProgram>> = vec![
+                (0, EpochAction::Idle),
+                (1, EpochAction::Broadcast { units, message: Some(message) }),
+            ];
+            let mut out = Vec::new();
+            encode_actions(&program, &steps, &mut out);
+            stage.decode_reply(&shard, &out).map(drop).map_err(|e| match e {
+                TransportError::Wire(e) => e,
+                other => panic!("expected a wire error, got {other:?}"),
+            })
+        };
+        assert!(reply(3).is_ok());
+        assert!(is_decode_error(reply(9)));
+
+        // Snapshots: a resident state and a retained intra-shard message
+        // naming agent 9.
+        let snapshot = |state_agent: usize, pending_agent: usize| {
+            let mut bytes = Vec::new();
+            put_usize(&mut bytes, 1); // round
+            put_u64(&mut bytes, 7); // token
+            put_usize(&mut bytes, 0); // start
+            put_usize(&mut bytes, 2); // end
+            put_usize(&mut bytes, 1); // one state: node 0 knows one agent
+            put_usize(&mut bytes, 0);
+            put_usize(&mut bytes, 1);
+            put_usize(&mut bytes, state_agent);
+            put_usize(&mut bytes, 0);
+            put_usize(&mut bytes, 1); // one pending inbox: node 0 ← node 1
+            put_usize(&mut bytes, 0);
+            put_usize(&mut bytes, 1);
+            put_usize(&mut bytes, 1);
+            program.encode_message(
+                &GatherMessage { agents: vec![AgentId::new(pending_agent)] },
+                &mut bytes,
+            );
+            read_snapshot(&program, &bytes).map(drop)
+        };
+        assert!(snapshot(0, 1).is_ok());
+        assert!(is_decode_error(snapshot(9, 1)));
+        assert!(is_decode_error(snapshot(0, 9)));
     }
 
     #[test]

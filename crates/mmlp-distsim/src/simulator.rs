@@ -199,6 +199,7 @@ impl Simulator {
         backend: &B,
     ) -> Result<SimulationResult<P::Output>, SimError> {
         let n = network.num_nodes();
+        program.begin_run();
         let states: Vec<Mutex<Option<P::State>>> =
             (0..n).map(|v| Mutex::new(Some(program.init(v, network)))).collect();
         let mut tally = Tally::new(n);
@@ -437,6 +438,7 @@ impl Simulator {
     {
         let n = network.num_nodes();
         let token = next_run_token();
+        program.begin_run();
         let mut tally = Tally::new(n);
         let mut inboxes: Vec<Vec<(usize, P::Message)>> = (0..n).map(|_| Vec::new()).collect();
         let mut running: Vec<usize> = (0..n).collect();

@@ -19,6 +19,13 @@
 //!    inter-round message batches plus a killed worker, absorbed by the
 //!    driver's ordered merge and its checkpoint-restore-and-replay recovery
 //!    — identical results, asserted.
+//! 4. **The per-node averaging rule over the wire.**  `run_wire_rule` with
+//!    local averaging at R = 1 on a 16×16 weighted grid (the `sim-rule`
+//!    benchmark's instance) on the sequential, loopback and subprocess
+//!    backends: median wall of 5 runs, asserted bit-identical to the
+//!    central algorithm, plus the ball LPs the nodes compute (`rule_lps`)
+//!    and how many the per-run rule memo actually solved (`rule_solves`) in
+//!    the in-process run.
 //!
 //! Writes `BENCH_e10_distsim.json` with every number in the tables.
 
@@ -216,6 +223,85 @@ fn main() {
     println!("\nDuplicated inter-round message batches are dropped by the ordered merge;");
     println!("a killed worker is respawned and its resident state restored by replay —");
     println!("views never change.");
+
+    banner("E10d: local averaging (R = 1) as a wire program, 16x16 weighted grid");
+    let grid = grid_instance(
+        &GridConfig { side_lengths: vec![16, 16], torus: false, random_weights: true },
+        &mut StdRng::seed_from_u64(16),
+    );
+    let rule = WireRule::LocalAveraging { radius: 1 };
+    let simplex = SimplexOptions::default();
+    let central = local_averaging(&grid, &LocalAveragingOptions::sequential(1))
+        .expect("central local averaging")
+        .solution;
+    let bits = |x: &Solution| x.activities().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // The in-process run's rule counters: the host's program stepped every node.
+    let (grid_h, _) = communication_hypergraph(&grid);
+    let grid_network = Network::from_hypergraph(&grid_h);
+    let program = LocalRuleProgram::new(&grid, rule, simplex);
+    let counted = Simulator::sequential()
+        .run_typed(&grid_network, &program, &registry)
+        .expect("in-process rule run");
+    assert_eq!(bits(&Solution::new(counted.outputs)), bits(&central), "in-process rule diverged");
+    let stats = program.rule_stats();
+    println!(
+        "in-process run: {} ball LPs computed by the nodes, {} solved (memo per run)\n",
+        stats.lps, stats.solves
+    );
+    let widths = [24usize, 12, 14, 10, 12];
+    print_row(
+        &[
+            "backend".into(),
+            "result".into(),
+            "median ms (5)".into(),
+            "rule_lps".into(),
+            "rule_solves".into(),
+        ],
+        &widths,
+    );
+    for (name, backend) in [
+        ("sequential", BackendKind::Sequential),
+        ("loopback-4", BackendKind::Loopback { shards: 4 }),
+        ("subprocess-2w", BackendKind::Subprocess { workers: 2, overlapped: true }),
+    ] {
+        let sim = Simulator::with_config(SimulatorConfig { backend, ..SimulatorConfig::default() });
+        // Warm-up: spawns the pooled workers and fills their context caches.
+        let warmup = run_wire_rule(&grid, rule, &simplex, &sim).expect("warm-up rule run");
+        assert_eq!(bits(&warmup.solution), bits(&central), "{backend:?} diverged (warm-up)");
+        let mut walls: Vec<f64> = (0..5)
+            .map(|_| {
+                let clock = Instant::now();
+                let run = run_wire_rule(&grid, rule, &simplex, &sim).expect("rule run");
+                let wall_ms = clock.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(bits(&run.solution), bits(&central), "{backend:?} diverged");
+                wall_ms
+            })
+            .collect();
+        walls.sort_by(f64::total_cmp);
+        let median_ms = walls[2];
+        let label = format!("averaging/{name}");
+        // Worker copies keep their own counters, so only the in-process row
+        // reports them.
+        let in_process = backend == BackendKind::Sequential;
+        let count = |n: u64| if in_process { n.to_string() } else { "-".into() };
+        print_row(
+            &[
+                label.clone(),
+                "identical".into(),
+                fmt(median_ms, 1),
+                count(stats.lps),
+                count(stats.solves),
+            ],
+            &widths,
+        );
+        let mut row = vec![("identical", 1.0), ("wall_ms_median", median_ms)];
+        if in_process {
+            row.extend([("rule_lps", stats.lps as f64), ("rule_solves", stats.solves as f64)]);
+        }
+        report.push(&label, &row);
+    }
+    println!("\nEvery node computes each of its ball LPs (rule_lps); the simulator solves a");
+    println!("ball that many views contain once per program copy and run (rule_solves).");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

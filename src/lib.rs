@@ -129,8 +129,8 @@ pub mod prelude {
         solve_local_lps_reusing, uniform_baseline, views_direct, AlgorithmComparison,
         ClassSolutionMemo, DeltaError, EngineError, EngineService, IncrementalRun, InstanceDelta,
         LocalAveragingOptions, LocalAveragingResult, LocalLpBatch, LocalLpOptions,
-        LocalRuleProgram, LocalRun, RegisteredBase, SolveMode, SolveStats, WeightEdit, WeightKind,
-        WireRule, SAFE_HORIZON,
+        LocalRuleProgram, LocalRun, RegisteredBase, RuleStats, SolveMode, SolveStats, WeightEdit,
+        WeightKind, WireRule, SAFE_HORIZON,
     };
     pub use crate::core::{
         bounds, canonical_form, canonical_key, quantise_weight, quasi_canonical_form, AgentId,

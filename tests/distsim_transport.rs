@@ -19,8 +19,8 @@
 //! * checkpoint cadences — never, every round and every few rounds, so
 //!   snapshot rounds and snapshot-free rounds both cross the boundary.
 //!
-//! Programs: the gathering protocol (`mmlp/prog/gather@1`) and the
-//! gather-then-decide rule program (`mmlp/prog/local-rule@1`) for both of
+//! Programs: the gathering protocol (`mmlp/prog/gather@2`) and the
+//! gather-then-decide rule program (`mmlp/prog/local-rule@2`) for both of
 //! the paper's algorithms, whose solutions are additionally asserted equal
 //! to the centralised computations.
 //!

@@ -441,12 +441,22 @@ proptest! {
             prop_assert!(r.is_empty());
             prop_assert_eq!(&decoded, record);
         }
-        let message = GatherMessage { records };
+        // Messages name records by agent id: every agent, in a seeded order.
+        let mut agents: Vec<AgentId> = inst.agent_ids().collect();
+        agents.shuffle(&mut StdRng::seed_from_u64(seed));
+        let message = GatherMessage { agents };
         let mut bytes = Vec::new();
         WireProgram::encode_message(&program, &message, &mut bytes);
-        let decoded = WireProgram::decode_message(&program, &mut ByteReader::new(&bytes))
+        let mut r = ByteReader::new(&bytes);
+        let decoded = WireProgram::decode_message(&program, &mut r)
             .expect("own encoding must decode");
+        prop_assert!(r.is_empty());
         prop_assert_eq!(decoded, message);
+        // An id one past the knowledge table is a typed error.
+        let past = GatherMessage { agents: vec![AgentId::new(inst.num_agents())] };
+        let mut bytes = Vec::new();
+        WireProgram::encode_message(&program, &past, &mut bytes);
+        prop_assert!(WireProgram::decode_message(&program, &mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -460,13 +470,20 @@ proptest! {
         let network = Network::from_hypergraph(&h);
         let program = GatherProgram::new(&inst, radius);
         for node in 0..inst.num_agents().min(4) {
-            let state = program.init(node, &network);
+            // The state after the first inbox: the node plus its neighbours.
+            let mut state = program.init(node, &network);
+            let inbox: Vec<(usize, GatherMessage)> = network
+                .neighbors(node)
+                .iter()
+                .map(|&u| (u, GatherMessage { agents: vec![AgentId::new(u)] }))
+                .collect();
+            let _ = program.step(node, &mut state, &inbox, 1, &network);
             let mut bytes = Vec::new();
             program.encode_state(&state, &mut bytes);
             let mut r = ByteReader::new(&bytes);
             let decoded = program.decode_state(&mut r).expect("own encoding must decode");
             prop_assert!(r.is_empty());
-            // GatherState has no PartialEq; compare through the encoding.
+            prop_assert_eq!(&decoded, &state);
             let mut reencoded = Vec::new();
             program.encode_state(&decoded, &mut reencoded);
             prop_assert_eq!(reencoded, bytes);
@@ -510,12 +527,9 @@ proptest! {
         // inside a coefficient's bit pattern).
         let inst = random_instance(&cfg, &mut StdRng::seed_from_u64(seed));
         let program = GatherProgram::new(&inst, 1);
-        let records: Vec<_> = inst
-            .agent_ids()
-            .map(|v| maxmin_local_lp::distsim::LocalKnowledge::of_agent(&inst, v))
-            .collect();
+        let message = GatherMessage { agents: inst.agent_ids().collect() };
         let mut payload = Vec::new();
-        WireProgram::encode_message(&program, &GatherMessage { records }, &mut payload);
+        WireProgram::encode_message(&program, &message, &mut payload);
         let frame = Frame { kind: FrameKind::Reply, seq: seed, payload };
         let mut bytes = encode_frame(&frame).expect("within-cap payloads encode");
         let idx = (flip % bytes.len() as u64) as usize;
@@ -538,6 +552,14 @@ proptest! {
             let _ = program.decode_state(&mut ByteReader::new(&noise));
             let _ = WireProgram::decode_message(&program, &mut ByteReader::new(&noise));
         }
+        // Noise decoded against a real program, whose ids index its table.
+        let inst = random_instance(
+            &RandomInstanceConfig { num_agents: 12, ..RandomInstanceConfig::default() },
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let program = GatherProgram::new(&inst, 2);
+        let _ = program.decode_state(&mut ByteReader::new(&noise));
+        let _ = WireProgram::decode_message(&program, &mut ByteReader::new(&noise));
     }
 }
 
