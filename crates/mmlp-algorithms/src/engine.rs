@@ -377,6 +377,16 @@ pub struct StageTimings {
 }
 
 /// What the engine did, in numbers.
+///
+/// An incremental re-solve ([`solve_local_lps_incremental`]) reports on
+/// its own work: the ball counts cover the re-presented balls only, its
+/// single `present-delta` stage presents *and* canonicalises, so
+/// `timings.enumerate` spans both and `timings.canonicalise` is zero, and
+/// presentations are deduplicated per shard, so
+/// [`distinct_presentations`](SolveStats::distinct_presentations) (equal to
+/// [`lps_built`](SolveStats::lps_built)) is the per-shard sum.
+/// [`stage_shards`](SolveStats::stage_shards) holds that one stage: the
+/// solve and scatter run host-side.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveStats {
     /// Number of balls enumerated (= number of agents).
@@ -995,13 +1005,13 @@ fn merge_class_tables(
     (class_reps, class_of_form)
 }
 
-/// Phase 2 of the presentation dedup, shared by the cold and incremental
-/// pipelines: merges the per-shard presentation tables into the global
-/// table (first-occurrence order over the shard scan) **without copying any
-/// presentation key** — pass 1 hashes borrowed key slices to assign global
-/// ids, pass 2 moves exactly the first-occurrence representatives out of
-/// the shard outputs.  Returns the global representatives plus each shard's
-/// output (its `reps` drained) and local→global id map.
+/// Phase 2 of the presentation dedup in the cold pipeline: merges the
+/// per-shard presentation tables into the global table (first-occurrence
+/// order over the shard scan) **without copying any presentation key** —
+/// pass 1 hashes borrowed key slices to assign global ids, pass 2 moves
+/// exactly the first-occurrence representatives out of the shard outputs.
+/// Returns the global representatives plus each shard's output (its `reps`
+/// drained) and local→global id map.
 fn merge_presentations(
     mut shard_outs: Vec<ShardPresentation>,
 ) -> (Vec<PresentedLp>, Vec<(ShardPresentation, Vec<usize>)>) {
@@ -1193,12 +1203,14 @@ pub struct IncrementalRun {
     /// agent (ball membership is symmetric, so this is the union of the
     /// balls around the changed agents).
     pub affected_agents: usize,
-    /// Bytes of this re-solve's wire job payloads (the delta job plus the
-    /// canonicalise jobs of the affected presentations), computed with the
-    /// transport's own encoders — `O(edits + affected balls)`, independent
-    /// of the instance size.  The base context is *not* included: it ships
-    /// once per worker at first use and is deduped afterwards
-    /// ([`RegisteredBase::context_wire_bytes`]).
+    /// Bytes of this re-solve's wire job payload (the `present-delta` job:
+    /// the edits and the affected-agent list), computed with the
+    /// transport's own encoders as one shard would ship it —
+    /// `O(edits + affected agents)`, independent of the instance size and
+    /// of the backend.  The base context is *not* included: it ships once
+    /// per worker at first use and is deduped afterwards
+    /// ([`RegisteredBase::context_wire_bytes`]).  Neither are the replies,
+    /// which carry the affected balls' canonical forms.
     pub resolve_wire_bytes: usize,
 }
 
@@ -1206,14 +1218,17 @@ pub struct IncrementalRun {
 /// delta can affect.
 ///
 /// The pipeline: (1') re-present the affected balls through the
-/// `mmlp/present-delta@2` stage — across the backend, shipping only the
+/// `mmlp/present-delta@3` stage — across the backend, shipping only the
 /// edits and the affected-agent lists against the deduped base context;
-/// (2') canonicalise the affected presentations (the ordinary canonicalise
-/// stage); (3') resolve only the classes an affected ball belongs to,
-/// driver-side — a class whose canonical key the base already has reuses
-/// the base's stored solution (a memo hit), a genuinely perturbed class is
-/// solved cold; (4') scatter the class solutions onto the affected balls,
-/// keeping every unaffected ball's activity vector verbatim.
+/// (2') in the same worker round trip, canonicalise each shard's distinct
+/// presentations, so a reply carries each ball's presentation id and the
+/// shard's class table, and the host merges the shard tables; (3') number
+/// the classes by first occurrence over an agent scan and resolve only the
+/// classes whose first ball is affected, driver-side — a class whose
+/// canonical key the base already has reuses the base's stored solution (a
+/// memo hit), a genuinely perturbed class is solved cold; (4') scatter the
+/// class solutions onto the affected balls, keeping every unaffected ball's
+/// activity vector verbatim.
 ///
 /// A memo hit is the solution of a bit-identical canonical LP, so the
 /// returned solutions, balls, class numbering, class keys and class
@@ -1308,11 +1323,12 @@ fn run_incremental<B: SolveBackend>(
     let n = base.instance.num_agents();
     let options = &base.options;
     let mut timings = StageTimings::default();
-    let mut stage_shards: Vec<StageStats> = Vec::new();
 
-    // ---- Stage 1': re-present the affected balls across the backend.  The
-    // stage's context (radius + version + full base instance) is deduped per
-    // link; only the jobs below actually travel on a re-solve. ----
+    // ---- Stage 1': re-present the affected balls and canonicalise each
+    // shard's distinct presentations, in one round trip.  The stage's
+    // context (radius + version + full base instance) is deduped per link;
+    // only the jobs below actually travel on a re-solve, and the replies
+    // carry no balls or ball LPs — the host already has the balls. ----
     let stage = Instant::now();
     let delta_stage = DeltaPresentWireStage {
         base: &base.instance,
@@ -1326,101 +1342,75 @@ fn run_incremental<B: SolveBackend>(
     // The marginal wire bytes of this re-solve, measured with the very
     // encoders the transport uses (single-shard equivalent; sharding
     // replicates only the small delta header).
-    let mut resolve_wire_bytes = {
+    let resolve_wire_bytes = {
         let mut job = Vec::new();
         delta_stage.encode_job(&Shard { index: 0, start: 0, end: affected.len() }, &mut job);
         job.len()
     };
     let run = backend.execute_stage(affected.len(), &delta_stage)?;
-    let lps_built = run.outputs.iter().map(|shard| shard.reps.len()).sum();
-    // Presentation merge, exactly as the cold pipeline (shard order = order
-    // of the affected list, so the numbering is backend-independent).
-    let mut balls_aff: Vec<Vec<usize>> = Vec::with_capacity(affected.len());
-    let mut pres_of_ball_aff: Vec<usize> = Vec::with_capacity(affected.len());
-    let (reps, shard_maps) = merge_presentations(run.outputs);
-    for (shard_out, map) in shard_maps {
-        balls_aff.extend(shard_out.balls);
-        pres_of_ball_aff.extend(shard_out.pres_of_ball.into_iter().map(|p| map[p]));
+    // Flatten the forms (shard order = order of the affected list, so the
+    // numbering is backend-independent), point each affected ball at its
+    // shard's form, and merge the per-shard class tables.
+    let mut forms: Vec<CanonicalForm> = Vec::new();
+    let mut form_of_affected: Vec<usize> = Vec::with_capacity(affected.len());
+    let mut shard_tables: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
+    for out in run.outputs {
+        let offset = forms.len();
+        form_of_affected.extend(out.pres_of_ball.iter().map(|&p| offset + p));
+        shard_tables.push((offset, out.classes.class_reps, out.classes.class_of));
+        forms.extend(out.classes.forms);
     }
-    stage_shards.push(run.stats);
+    let (fresh_reps, class_of_form) = merge_class_tables(&forms, &shard_tables);
+    let stage_shards = vec![run.stats];
     timings.enumerate = stage.elapsed();
 
-    // ---- Stage 2': canonicalise the affected presentations (the ordinary
-    // canonicalise wire stage; its jobs are counted as re-solve bytes). ----
-    let stage = Instant::now();
-    let canon_stage = CanonWireStage { instances: reps.iter().map(|r| &r.instance).collect() };
-    resolve_wire_bytes += {
-        let mut job = Vec::new();
-        canon_stage.encode_job(&Shard { index: 0, start: 0, end: reps.len() }, &mut job);
-        job.len()
-    };
-    let run = backend.execute_stage(reps.len(), &canon_stage)?;
-    let mut forms: Vec<CanonicalForm> = Vec::with_capacity(reps.len());
-    let mut shard_tables: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
-    for sc in run.outputs {
-        shard_tables.push((forms.len(), sc.class_reps, sc.class_of));
-        forms.extend(sc.forms);
-    }
-    let (aff_class_reps, class_of_pres) = merge_class_tables(&forms, &shard_tables);
-    stage_shards.push(run.stats);
-    timings.canonicalise = stage.elapsed();
-
     // ---- Global class table: first-occurrence numbering over an agent
-    // scan.  Unaffected balls contribute their base class keys, affected
-    // balls their fresh canonical keys; since unaffected balls present
-    // bit-identically to the base, this is the same numbering a cold solve
-    // of the patched instance produces. ----
+    // scan.  Unaffected balls contribute their base classes, affected balls
+    // their fresh classes; since unaffected balls present bit-identically
+    // to the base, this is the same numbering a cold solve of the patched
+    // instance produces.  Each fresh key is looked up in the base once, so
+    // a fresh class equal to a base class shares its slot, and the scan
+    // itself hashes nothing. ----
     enum ClassSource {
-        /// Every ball of the class is unaffected: the base solution stands.
+        /// The class's first ball is unaffected: the base solution stands.
         Base(usize),
-        /// Some affected ball belongs to the class; the index into `forms`
-        /// of the class representative.
+        /// The class's first ball is affected; the fresh class index (into
+        /// `fresh_reps`).
         Fresh(usize),
     }
-    let aff_index: HashMap<usize, usize> =
-        affected.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-    let mut key_to_new: HashMap<Arc<CanonicalKey>, usize> = HashMap::new();
-    let mut class_keys: Vec<Arc<CanonicalKey>> = Vec::new();
+    let base_of_fresh: Vec<Option<usize>> = fresh_reps
+        .iter()
+        .map(|&f| base.key_to_class.get(&forms[f].key).copied())
+        .collect();
+    const UNNUMBERED: usize = usize::MAX;
+    let mut id_of_base = vec![UNNUMBERED; base.batch.class_keys.len()];
+    let mut id_of_fresh = vec![UNNUMBERED; fresh_reps.len()];
     let mut sources: Vec<ClassSource> = Vec::new();
     let mut class_of_ball: Vec<usize> = Vec::with_capacity(n);
-    // Per ball this is a borrowed hash lookup only; a key is copied (into a
-    // shared `Arc`) or its `Arc` cloned once per *new class*, never per
-    // ball.
+    let mut next_affected = affected.iter().enumerate().peekable();
     for u in 0..n {
-        let id = match aff_index.get(&u) {
-            Some(&i) => {
-                let rep_form = aff_class_reps[class_of_pres[pres_of_ball_aff[i]]];
-                match key_to_new.get(&forms[rep_form].key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = class_keys.len();
-                        let key = Arc::new(forms[rep_form].key.clone());
-                        key_to_new.insert(Arc::clone(&key), id);
-                        class_keys.push(key);
-                        sources.push(ClassSource::Fresh(rep_form));
-                        id
-                    }
-                }
+        let (slot, source) = match next_affected.next_if(|&(_, &v)| v == u) {
+            Some((i, _)) => {
+                let a = class_of_form[form_of_affected[i]];
+                let slot = match base_of_fresh[a] {
+                    Some(c) => &mut id_of_base[c],
+                    None => &mut id_of_fresh[a],
+                };
+                (slot, ClassSource::Fresh(a))
             }
             None => {
                 let c = base.batch.class_of_ball[u];
-                let key = &base.batch.class_keys[c];
-                match key_to_new.get(key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = class_keys.len();
-                        key_to_new.insert(Arc::clone(key), id);
-                        class_keys.push(Arc::clone(key));
-                        sources.push(ClassSource::Base(c));
-                        id
-                    }
-                }
+                (&mut id_of_base[c], ClassSource::Base(c))
             }
         };
-        class_of_ball.push(id);
+        if *slot == UNNUMBERED {
+            *slot = sources.len();
+            sources.push(source);
+        }
+        class_of_ball.push(*slot);
     }
 
-    // ---- Stage 3': resolve only the classes an affected ball belongs to,
+    // ---- Stage 3': resolve only the classes whose first ball is affected,
     // driver-side: a key the base already has is a memo hit, anything else
     // is solved cold. ----
     let stage = Instant::now();
@@ -1428,27 +1418,36 @@ fn run_incremental<B: SolveBackend>(
     let mut jobs_submitted = 0usize;
     let mut lp_solves = 0usize;
     let mut total_pivots = 0u64;
-    let mut class_solutions: Vec<Arc<[f64]>> = Vec::with_capacity(class_keys.len());
-    for (id, source) in sources.iter().enumerate() {
-        let x = match *source {
-            ClassSource::Base(c) => Arc::clone(&base.batch.class_solutions[c]),
-            ClassSource::Fresh(rep_form) => match base.key_to_class.get(&class_keys[id]) {
+    let mut class_keys: Vec<Arc<CanonicalKey>> = Vec::with_capacity(sources.len());
+    let mut class_solutions: Vec<Arc<[f64]>> = Vec::with_capacity(sources.len());
+    let base_class = |c: usize| {
+        (Arc::clone(&base.batch.class_keys[c]), Arc::clone(&base.batch.class_solutions[c]))
+    };
+    for source in &sources {
+        let (key, x) = match *source {
+            ClassSource::Base(c) => base_class(c),
+            ClassSource::Fresh(a) => match base_of_fresh[a] {
                 // The canonical LP is unchanged (the edits never reached
                 // this class, or cancelled out): the base's solution is the
                 // answer.
-                Some(&c) => {
+                Some(c) => {
                     memo_hits += 1;
-                    Arc::clone(&base.batch.class_solutions[c])
+                    base_class(c)
                 }
                 None => {
                     jobs_submitted += 1;
-                    let job = solve_class_lp(&forms[rep_form].instance, &options.simplex)?;
+                    let rep = &mut forms[fresh_reps[a]];
+                    let job = solve_class_lp(&rep.instance, &options.simplex)?;
                     lp_solves += usize::from(job.solved);
                     total_pivots += job.pivots;
-                    Arc::from(job.x)
+                    // Move the key out: the forms' keys are not read past
+                    // this point.
+                    let key = std::mem::replace(&mut rep.key, CanonicalKey::from_words(Vec::new()));
+                    (Arc::new(key), Arc::from(job.x))
                 }
             },
         };
+        class_keys.push(key);
         class_solutions.push(x);
     }
     timings.solve = stage.elapsed();
@@ -1461,9 +1460,8 @@ fn run_incremental<B: SolveBackend>(
     let balls = base.batch.balls.clone();
     let mut local_x = base.batch.local_x.clone();
     let mut ball_objectives = base.batch.ball_objectives.clone();
-    for (i, &u) in affected.iter().enumerate() {
-        debug_assert_eq!(balls_aff[i], balls[u], "deltas never change a ball's membership");
-        let form = &forms[pres_of_ball_aff[i]];
+    for (&u, &f) in affected.iter().zip(&form_of_affected) {
+        let form = &forms[f];
         let x = &class_solutions[class_of_ball[u]];
         local_x[u] = unpermute_values(&form.labelling, x);
         ball_objectives[u] = lp_objective(&form.instance, x);
@@ -1479,10 +1477,11 @@ fn run_incremental<B: SolveBackend>(
     let stats = SolveStats {
         // For an incremental run, "enumerated" counts the balls actually
         // re-presented — the work, not the instance size — and the hits are
-        // counted over the same balls.
+        // counted over the same balls.  Presentations are deduplicated per
+        // shard only, so both counts are per-shard sums.
         balls_enumerated: affected.len(),
-        distinct_presentations: reps.len(),
-        lps_built,
+        distinct_presentations: forms.len(),
+        lps_built: forms.len(),
         unique_classes: class_keys.len(),
         cache_hits: affected.len() - jobs_submitted,
         memo_hits,
@@ -1531,6 +1530,14 @@ pub(crate) struct ShardClasses {
     pub(crate) class_of: Vec<usize>,
 }
 
+/// The output of one fused *present-delta* shard: each affected ball's
+/// shard-local presentation id and the canonical forms and class table of
+/// the shard's distinct presentations (one form per presentation).
+pub(crate) struct ShardDeltaClasses {
+    pub(crate) pres_of_ball: Vec<usize>,
+    pub(crate) classes: ShardClasses,
+}
+
 /// One solved LP job.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SolvedLp {
@@ -1566,15 +1573,18 @@ pub(crate) fn present_shard(
 
 /// Stage 1' body (the delta path): the same presentation sweep over an
 /// explicit agent list — incremental re-solves present only the affected
-/// balls, which are rarely a contiguous range.  Deltas are exact-mode only,
-/// so the sweep never quantises.
-pub(crate) fn present_agents(
+/// balls, which are rarely a contiguous range — followed by the stage 2
+/// body on the shard's distinct presentations, so a re-solve needs one
+/// round trip.  Deltas are exact-mode only, so the sweep never quantises.
+pub(crate) fn present_and_canonicalise_agents(
     instance: &MaxMinInstance,
     cache: &NeighborCache,
     radius: usize,
     agents: &[usize],
-) -> ShardPresentation {
-    present_agent_list(instance, cache, radius, 0.0, agents.iter().copied())
+) -> ShardDeltaClasses {
+    let presented = present_agent_list(instance, cache, radius, 0.0, agents.iter().copied());
+    let lps: Vec<&MaxMinInstance> = presented.reps.iter().map(|r| &r.instance).collect();
+    ShardDeltaClasses { pres_of_ball: presented.pres_of_ball, classes: canonicalise_shard(&lps) }
 }
 
 fn present_agent_list(
@@ -1994,7 +2004,8 @@ mod tests {
                     let delta = InstanceDelta { base_version: 0, edits };
                     let patched = delta.apply(inst).unwrap();
                     let agents: Vec<usize> = (0..n).rev().step_by(2).collect();
-                    let got = present_agents(&patched, &cache, radius, &agents);
+                    let got =
+                        present_agent_list(&patched, &cache, radius, 0.0, agents.iter().copied());
                     assert_matches_reference(
                         &format!("{label} delta"),
                         &got,
@@ -2002,6 +2013,14 @@ mod tests {
                         radius,
                         &agents,
                     );
+                    // The fused delta stage keeps the sweep's ids and
+                    // canonicalises each presentation.
+                    let fused = present_and_canonicalise_agents(&patched, &cache, radius, &agents);
+                    assert_eq!(fused.pres_of_ball, got.pres_of_ball, "{label} fused");
+                    assert_eq!(fused.classes.forms.len(), got.reps.len(), "{label} fused");
+                    for (form, rep) in fused.classes.forms.iter().zip(&got.reps) {
+                        assert_eq!(form.key, canonical_form(&rep.instance).key, "{label} fused");
+                    }
                 }
             }
         }

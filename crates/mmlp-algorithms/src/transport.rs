@@ -2,21 +2,23 @@
 //! registry, and the [`WireStage`] adapters that let the batched local-LP
 //! pipeline run on out-of-process backends.
 //!
-//! Each of the four engine stages is one registered wire stage:
+//! Each of the four engine stages is one registered wire stage, plus the
+//! incremental path's fused present-and-canonicalise stage:
 //!
-//! | stage id               | context                          | job (per shard)                | reply                        |
-//! |------------------------|----------------------------------|--------------------------------|------------------------------|
-//! | `mmlp/present@2`       | radius + `ε` + full instance     | agent range                    | `ShardPresentation` + slacks |
-//! | `mmlp/present-delta@2` | radius + version + base instance | weight edits + affected agents | `ShardPresentation`          |
-//! | `mmlp/canonicalise@1`  | —                                | the shard's presented LPs      | `ShardClasses`               |
-//! | `mmlp/solve@2`         | simplex options                  | canonical LP list              | solved LPs / typed errors    |
-//! | `mmlp/scatter@1`       | deduplicated solutions           | (labelling, solution idx) list | per-ball activity vectors    |
+//! | stage id               | context                          | job (per shard)                | reply                             |
+//! |------------------------|----------------------------------|--------------------------------|-----------------------------------|
+//! | `mmlp/present@2`       | radius + `ε` + full instance     | agent range                    | `ShardPresentation` + slacks      |
+//! | `mmlp/present-delta@3` | radius + version + base instance | weight edits + affected agents | presentation ids + `ShardClasses` |
+//! | `mmlp/canonicalise@1`  | —                                | the shard's presented LPs      | `ShardClasses`                    |
+//! | `mmlp/solve@2`         | simplex options                  | canonical LP list              | solved LPs / typed errors         |
+//! | `mmlp/scatter@1`       | deduplicated solutions           | (labelling, solution idx) list | per-ball activity vectors         |
 //!
 //! The lifted mode runs these same stages: the present stage quantises the
 //! ball LPs onto the `(1+ε)^b` grid and reports each ball's measured slack.
 //!
 //! Host and worker share the *same per-shard stage functions*
 //! ([`present_shard`](crate::engine), [`canonicalise_shard`](crate::engine),
+//! [`present_and_canonicalise_agents`](crate::engine),
 //! [`solve_shard`](crate::engine)); the only difference is whether the
 //! inputs arrive by reference or through encode→decode.  Every coefficient
 //! travels as its exact IEEE-754 bit pattern and instances are rebuilt
@@ -30,8 +32,9 @@
 //! worker reports an unknown stage instead of misreading bytes.
 
 use crate::engine::{
-    canonicalise_shard, present_agents, present_shard, solve_shard, unpermute_values,
-    InstanceDelta, PresentedLp, ShardClasses, ShardPresentation, SolvedLp, WeightEdit, WeightKind,
+    canonicalise_shard, present_and_canonicalise_agents, present_shard, solve_shard,
+    unpermute_values, InstanceDelta, PresentedLp, ShardClasses, ShardDeltaClasses,
+    ShardPresentation, SolvedLp, WeightEdit, WeightKind,
 };
 use crate::runner::{LocalRuleProgram, LOCAL_RULE_PROGRAM_ID};
 use mmlp_core::canonical::{CanonicalForm, CanonicalKey};
@@ -57,8 +60,9 @@ pub const STAGE_PRESENT: &str = "mmlp/present@2";
 /// Stage identifier of the incremental *present-delta* stage: the context
 /// registers a versioned base instance (shipped once per link, then deduped
 /// by the transport's per-stage context cache), each job carries only a
-/// weight delta against that version and the affected-agent list.
-pub const STAGE_PRESENT_DELTA: &str = "mmlp/present-delta@2";
+/// weight delta against that version and the affected-agent list, and each
+/// reply the shard's presentation ids and canonical class table.
+pub const STAGE_PRESENT_DELTA: &str = "mmlp/present-delta@3";
 /// Stage identifier of the *canonicalise* stage.
 pub const STAGE_CANONICALISE: &str = "mmlp/canonicalise@1";
 /// Stage identifier of the *solve* stage.
@@ -361,6 +365,27 @@ fn read_shard_classes(r: &mut ByteReader<'_>) -> Result<ShardClasses, WireError>
     Ok(ShardClasses { forms, class_reps, class_of })
 }
 
+fn put_shard_delta_classes(out: &mut Vec<u8>, sd: &ShardDeltaClasses) {
+    put_usizes(out, &sd.pres_of_ball);
+    put_shard_classes(out, &sd.classes);
+}
+
+/// Decodes a `present-delta` reply for a shard of `num_balls` affected
+/// agents: one presentation id per ball, each naming one of the reply's
+/// canonical forms.
+fn read_shard_delta_classes(
+    r: &mut ByteReader<'_>,
+    num_balls: usize,
+) -> Result<ShardDeltaClasses, WireError> {
+    const CTX: &str = "present-delta reply";
+    let pres_of_ball = r.usizes(CTX)?;
+    let classes = read_shard_classes(r)?;
+    if pres_of_ball.len() != num_balls || pres_of_ball.iter().any(|&p| p >= classes.forms.len()) {
+        return Err(WireError::Decode { context: CTX });
+    }
+    Ok(ShardDeltaClasses { pres_of_ball, classes })
+}
+
 fn put_simplex_options(out: &mut Vec<u8>, options: &SimplexOptions) {
     put_f64(out, options.tolerance);
     put_usize(out, options.max_pivots);
@@ -426,7 +451,11 @@ impl WireStage for PresentWireStage<'_> {
 /// instance (radius + version + full instance, shipped once per link thanks
 /// to the transport's per-stage context dedup); each job ships only the
 /// weight edits and the shard's slice of the affected-agent list — the
-/// per-re-solve wire bytes scale with the churn, not the instance.
+/// per-re-solve job bytes scale with the churn, not the instance.  The
+/// worker presents the shard's balls *and* canonicalises its distinct
+/// presentations, so a re-solve needs one round trip; the reply carries
+/// each ball's presentation id and the shard's class table, never the
+/// balls or their presented LPs.
 pub(crate) struct DeltaPresentWireStage<'a> {
     /// The registered base instance (travels in the context, once).
     pub(crate) base: &'a MaxMinInstance,
@@ -442,7 +471,7 @@ pub(crate) struct DeltaPresentWireStage<'a> {
 }
 
 impl WireStage for DeltaPresentWireStage<'_> {
-    type Output = ShardPresentation;
+    type Output = ShardDeltaClasses;
 
     fn stage_id(&self) -> &'static str {
         STAGE_PRESENT_DELTA
@@ -460,15 +489,16 @@ impl WireStage for DeltaPresentWireStage<'_> {
     }
 
     fn decode_reply(&self, shard: &Shard, payload: &[u8]) -> Result<Self::Output, TransportError> {
-        let result = read_shard_presentation(&mut ByteReader::new(payload))?;
-        if result.balls.len() != shard.len() {
-            return Err(WireError::Decode { context: "present-delta reply" }.into());
-        }
-        Ok(result)
+        Ok(read_shard_delta_classes(&mut ByteReader::new(payload), shard.len())?)
     }
 
     fn run_local(&self, shard: &Shard) -> Self::Output {
-        present_agents(self.patched, self.cache, self.radius, &self.affected[shard.range()])
+        present_and_canonicalise_agents(
+            self.patched,
+            self.cache,
+            self.radius,
+            &self.affected[shard.range()],
+        )
     }
 }
 
@@ -672,9 +702,9 @@ fn handle_present_delta(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Resul
         return Err("present-delta agent out of bounds".to_string());
     }
     let patched = delta.apply(&state.instance).map_err(|e| e.to_string())?;
-    let result = present_agents(&patched, &state.neighbors, state.radius, &agents);
+    let result = present_and_canonicalise_agents(&patched, &state.neighbors, state.radius, &agents);
     let mut out = Vec::new();
-    put_shard_presentation(&mut out, &result);
+    put_shard_delta_classes(&mut out, &result);
     Ok(out)
 }
 
@@ -819,7 +849,7 @@ mod tests {
     use mmlp_instances::{grid_instance, random_instance, GridConfig, RandomInstanceConfig};
     use mmlp_parallel::{FaultPlan, LoopbackBackend};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_instances() -> Vec<MaxMinInstance> {
         let mut rng = StdRng::seed_from_u64(7);
@@ -986,6 +1016,68 @@ mod tests {
                 let mut short = decode(&bytes).unwrap();
                 short.slack_of_ball = vec![0.0; short.balls.len() - 1];
                 assert!(decode(&encode(&short)).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn present_delta_reply_codec_roundtrips_and_rejects_bad_ids() {
+        let decode = |bytes: &[u8], num_balls: usize| {
+            read_shard_delta_classes(&mut ByteReader::new(bytes), num_balls)
+        };
+        let encode = |sd: &ShardDeltaClasses| {
+            let mut bytes = Vec::new();
+            put_shard_delta_classes(&mut bytes, sd);
+            bytes
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        for inst in sample_instances() {
+            let (h, _) = communication_hypergraph(&inst);
+            let cache = h.neighbor_cache();
+            // Three balls (a repeat among them) keep the every-prefix
+            // truncation loop cheap.
+            let agents = [0, 2, 0];
+            let sd = present_and_canonicalise_agents(&inst, &cache, 1, &agents);
+            let bytes = encode(&sd);
+            let mut r = ByteReader::new(&bytes);
+            let decoded = read_shard_delta_classes(&mut r, agents.len()).unwrap();
+            assert!(r.is_empty());
+            assert_eq!(decoded.pres_of_ball, sd.pres_of_ball);
+            assert_eq!(decoded.pres_of_ball[0], decoded.pres_of_ball[2]);
+            assert_eq!(decoded.classes.class_reps, sd.classes.class_reps);
+            assert_eq!(decoded.classes.class_of, sd.classes.class_of);
+            for (a, b) in decoded.classes.forms.iter().zip(&sd.classes.forms) {
+                assert_eq!(a.key, b.key);
+                assert_eq!(a.labelling, b.labelling);
+                assert_eq!(a.instance, b.instance);
+            }
+            // An id count other than the shard length is a typed error.
+            for num_balls in [agents.len() - 1, agents.len() + 1] {
+                assert!(
+                    matches!(decode(&bytes, num_balls), Err(WireError::Decode { .. })),
+                    "{num_balls} balls"
+                );
+            }
+            // So is a presentation id at or past the form count.
+            let mut bad = decode(&bytes, agents.len()).unwrap();
+            bad.pres_of_ball[1] = bad.classes.forms.len();
+            assert!(matches!(decode(&encode(&bad), agents.len()), Err(WireError::Decode { .. })));
+            // Truncations at every prefix: typed error, no panic.
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut], agents.len()).is_err(), "cut at {cut}");
+            }
+            // Byte noise — overwritten bytes of a valid reply and pure
+            // noise: any outcome but a panic.
+            for _ in 0..200 {
+                let mut noisy = bytes.clone();
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..noisy.len());
+                    noisy[at] = rng.gen_range(0u64..256) as u8;
+                }
+                let _ = decode(&noisy, agents.len());
+                let len = rng.gen_range(0..200);
+                let noise: Vec<u8> = (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect();
+                let _ = decode(&noise, agents.len());
             }
         }
     }

@@ -13,8 +13,10 @@
 //! This experiment sweeps the weight-churn rate on a fixed grid across the
 //! sequential, loopback and subprocess backends, and reports for each step:
 //! re-solve latency vs a cold solve of the same patched instance, the wire
-//! bytes the delta job occupies vs the one-time registered context, and how
-//! many affected classes were memo hits vs cold solves.  Every step asserts
+//! bytes the delta job occupies vs the one-time registered context, how
+//! many affected classes were memo hits vs cold solves, and how many engine
+//! stages (worker round trips) the re-solve ran — one, since the
+//! `present-delta` stage also canonicalises.  Every step asserts
 //! the incremental batch bit-identical to the cold one (solutions, balls,
 //! class numbering, class keys and class solutions).
 //!
@@ -29,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-const COLS: [usize; 8] = [22, 8, 10, 10, 10, 10, 12, 14];
+const COLS: [usize; 9] = [22, 8, 10, 10, 10, 10, 12, 14, 8];
 
 /// Builds a churn delta: `churn * num_agents` distinct agents (chosen by the
 /// seeded RNG), each with one incident weight rescaled by a factor in
@@ -132,6 +134,7 @@ fn main() {
             "speedup".into(),
             "wire bytes".into(),
             "memo/cold".into(),
+            "stages".into(),
         ],
         &COLS,
     );
@@ -174,6 +177,11 @@ fn main() {
             assert_bit_identical(&run, &cold, &label);
 
             let s = &run.batch.stats;
+            // One worker round trip per re-solve.  An empty delta returns
+            // the base batch, registration stats included.
+            if run.affected_agents > 0 {
+                assert_eq!(s.stage_shards.len(), 1, "{label}: engine stages");
+            }
             print_row(
                 &[
                     format!("{name} / {churn}"),
@@ -184,6 +192,7 @@ fn main() {
                     fmt(cold_ms / resolve_ms.max(1e-9), 1),
                     run.resolve_wire_bytes.to_string(),
                     format!("{}/{}", s.memo_hits, s.lp_solves),
+                    s.stage_shards.len().to_string(),
                 ],
                 &COLS,
             );
@@ -201,6 +210,7 @@ fn main() {
                     ("cold_pivots", cold.stats.total_pivots as f64),
                     ("memo_hits", s.memo_hits as f64),
                     ("cold_solves", s.lp_solves as f64),
+                    ("stages", s.stage_shards.len() as f64),
                 ],
             );
         }

@@ -243,3 +243,135 @@ fn incremental_requests_ride_the_solve_service() {
         assert_matches_cold(&run, &cold, "service ticket");
     }
 }
+
+/// The agents a delta re-presents: those whose ball holds a changed agent.
+fn affected_agents(base: &RegisteredBase, delta: &InstanceDelta) -> Vec<bool> {
+    let changed = delta.changed_agents();
+    base.batch()
+        .balls
+        .iter()
+        .map(|ball| ball.iter().any(|v| changed.contains(v)))
+        .collect()
+}
+
+/// What the first-occurrence rule predicts from a cold solve of the patched
+/// instance: `(memo hits, cold class solves)`.  A class is re-solved only
+/// when its first ball is affected — from the base's stored solution when
+/// the base has its key, cold otherwise.
+fn expected_class_work(
+    base: &RegisteredBase,
+    cold: &LocalLpBatch,
+    affected: &[bool],
+) -> (usize, usize) {
+    let mut first_ball = vec![usize::MAX; cold.class_keys.len()];
+    for (u, &c) in cold.class_of_ball.iter().enumerate().rev() {
+        first_ball[c] = u;
+    }
+    let fresh = first_ball.iter().enumerate().filter(|&(_, &u)| affected[u]);
+    let (hits, solves): (Vec<_>, Vec<_>) =
+        fresh.partition(|&(c, _)| base.batch().class_keys.contains(&cold.class_keys[c]));
+    (hits.len(), solves.len())
+}
+
+#[test]
+fn a_no_op_edit_re_solves_to_the_base_from_its_stored_solutions() {
+    // Weights set to their current values: every affected ball presents as
+    // before, so the batch is the base's and no class reaches the simplex.
+    let inst = workload();
+    let base = register_base(&inst, &LocalLpOptions::new(1), 1).unwrap();
+    let (i, a) = inst.agent(AgentId::new(9)).resources[0];
+    let (k, c) = inst.agent(AgentId::new(30)).parties[0];
+    let delta = InstanceDelta {
+        base_version: 1,
+        edits: vec![
+            WeightEdit { kind: WeightKind::Consumption, row: i.index(), agent: 9, weight: a },
+            WeightEdit { kind: WeightKind::Benefit, row: k.index(), agent: 30, weight: c },
+        ],
+    };
+    let run = solve_local_lps_incremental(&base, &delta).unwrap();
+    assert!(run.affected_agents > 0);
+    let expected = base.batch();
+    assert_matches_cold(&run, expected, "no-op edit");
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&run.batch.ball_objectives), bits(&expected.ball_objectives));
+    assert_eq!(run.batch.intervals, expected.intervals);
+    let s = &run.batch.stats;
+    assert_eq!((s.lp_solves, s.total_pivots), (0, 0));
+    // Every fresh class — one whose first ball was re-presented — was a
+    // memo hit, so no ball's job reached the solve.
+    assert_eq!(s.cache_hits, s.balls_enumerated);
+    let affected = affected_agents(&base, &delta);
+    assert_eq!(expected_class_work(&base, expected, &affected), (s.memo_hits, 0));
+    assert!(s.memo_hits > 0);
+}
+
+#[test]
+fn fresh_keys_equal_to_unaffected_classes_number_like_a_cold_solve() {
+    // A unit-weight grid has few classes, each shared by many balls.  The
+    // no-op edit at corner agent 0 re-presents the first corner ball, whose
+    // class recurs at unaffected corners with *higher* ids; the no-op edit
+    // at interior agent 55 re-presents balls whose class first occurs at an
+    // unaffected ball with a *lower* id; the real edit at agent 77 creates
+    // classes the base lacks.
+    let inst = grid_instance(
+        &GridConfig { side_lengths: vec![10, 10], torus: false, random_weights: false },
+        &mut StdRng::seed_from_u64(1),
+    );
+    let options = LocalLpOptions::new(1);
+    let base = register_base(&inst, &options, 1).unwrap();
+    let edit = |v: usize, weight: f64| {
+        let (i, _) = inst.agent(AgentId::new(v)).resources[0];
+        WeightEdit { kind: WeightKind::Consumption, row: i.index(), agent: v, weight }
+    };
+    let delta =
+        InstanceDelta { base_version: 1, edits: vec![edit(0, 1.0), edit(55, 1.0), edit(77, 2.0)] };
+    let run = solve_local_lps_incremental(&base, &delta).unwrap();
+    let cold = solve_local_lps(&delta.apply(&inst).unwrap(), &options).unwrap();
+    assert_matches_cold(&run, &cold, "unit grid");
+
+    // Both orders occur: an affected ball joining a class an unaffected
+    // ball opened earlier, and an affected ball opening a class that an
+    // unaffected ball joins later.
+    let affected = affected_agents(&base, &delta);
+    let unaffected_in = |c: usize, ids: std::ops::Range<usize>| {
+        ids.into_iter().any(|w| !affected[w] && cold.class_of_ball[w] == c)
+    };
+    let n = inst.num_agents();
+    let lower = (0..n).any(|u| affected[u] && unaffected_in(cold.class_of_ball[u], 0..u));
+    let higher = (0..n).any(|u| {
+        let c = cold.class_of_ball[u];
+        affected[u] && cold.class_of_ball[..u].iter().all(|&d| d != c) && unaffected_in(c, u + 1..n)
+    });
+    assert!(lower && higher, "lower {lower}, higher {higher}");
+
+    let s = &run.batch.stats;
+    let (hits, solves) = expected_class_work(&base, &cold, &affected);
+    assert_eq!(s.memo_hits, hits);
+    assert_eq!(s.balls_enumerated - s.cache_hits, solves);
+    assert!(hits > 0 && solves > 0, "hits {hits}, solves {solves}");
+}
+
+#[test]
+fn one_delta_does_the_same_work_in_one_round_trip_on_every_backend() {
+    let inst = workload();
+    let delta = churn_delta(&inst, 5, 1, 77);
+    let mut backends = vec![BackendKind::Sequential, BackendKind::Loopback { shards: 4 }];
+    match probe_worker(&WorkerCommand::auto()) {
+        Ok(()) => backends.push(BackendKind::Subprocess { workers: 2, overlapped: true }),
+        Err(e) => eprintln!("skipping the subprocess backend: {e}"),
+    }
+    let mut work = Vec::new();
+    for backend in backends {
+        let base = register_base(&inst, &LocalLpOptions::new(1).with_backend(backend), 1).unwrap();
+        let run = solve_local_lps_incremental(&base, &delta).unwrap();
+        let s = &run.batch.stats;
+        // Present and canonicalise share one stage; solve and scatter run
+        // host-side.
+        assert_eq!(s.stage_shards.len(), 1, "{backend:?}: {:?}", s.stage_shards);
+        assert_eq!(s.stage_shards[0].stage, "mmlp/present-delta@3");
+        assert_eq!(s.timings.canonicalise, std::time::Duration::ZERO);
+        work.push((s.memo_hits, s.lp_solves, s.total_pivots, run.resolve_wire_bytes));
+    }
+    assert!(work[0].1 > 0, "the delta must reach the simplex: {work:?}");
+    assert!(work.iter().all(|w| *w == work[0]), "{work:?}");
+}
