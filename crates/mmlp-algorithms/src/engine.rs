@@ -179,7 +179,7 @@ impl fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 /// Which coefficient family a [`WeightEdit`] targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WeightKind {
     /// A consumption coefficient `a_{iv}` of a resource constraint.
     Consumption,
@@ -220,9 +220,11 @@ pub struct InstanceDelta {
 }
 
 impl InstanceDelta {
-    /// Applies the edits to `base`, rebuilding through the validating
-    /// [`InstanceBuilder`] (the decoded-wire path does the same, so both
-    /// sides of the transport compute on bit-identical patched instances).
+    /// Applies the edits to `base`, rebuilding the whole instance through
+    /// the validating [`InstanceBuilder`].  The incremental re-solve never
+    /// calls this: it presents the affected balls through the delta's
+    /// overlay over the base instead, which yields the same ball LPs bit for
+    /// bit.  It is the reference that cold comparison solves start from.
     ///
     /// # Errors
     ///
@@ -231,39 +233,7 @@ impl InstanceDelta {
     /// The declared `base_version` is *not* checked here — the caller
     /// compares it against the registered version it holds.
     pub fn apply(&self, base: &MaxMinInstance) -> Result<MaxMinInstance, DeltaError> {
-        let mut cons: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut bens: HashMap<(usize, usize), f64> = HashMap::new();
-        for e in &self.edits {
-            if !e.weight.is_finite() || e.weight <= 0.0 {
-                return Err(DeltaError::BadWeight { weight: e.weight });
-            }
-            let exists = e.agent < base.num_agents()
-                && match e.kind {
-                    WeightKind::Consumption => {
-                        e.row < base.num_resources()
-                            && base
-                                .resource(ResourceId::new(e.row))
-                                .members()
-                                .iter()
-                                .any(|(v, _)| v.index() == e.agent)
-                    }
-                    WeightKind::Benefit => {
-                        e.row < base.num_parties()
-                            && base
-                                .party(PartyId::new(e.row))
-                                .members()
-                                .iter()
-                                .any(|(v, _)| v.index() == e.agent)
-                    }
-                };
-            if !exists {
-                return Err(DeltaError::UnknownEntry { kind: e.kind, row: e.row, agent: e.agent });
-            }
-            match e.kind {
-                WeightKind::Consumption => cons.insert((e.row, e.agent), e.weight),
-                WeightKind::Benefit => bens.insert((e.row, e.agent), e.weight),
-            };
-        }
+        let overlay = self.overlay(base)?;
         let mut b = InstanceBuilder::with_capacity(
             base.num_agents(),
             base.num_resources(),
@@ -273,19 +243,60 @@ impl InstanceDelta {
         let agents = b.add_agents(base.num_agents());
         for i in base.resource_ids() {
             let ri = b.add_resource();
-            for (v, a) in base.resource(i).members() {
-                let w = cons.get(&(i.index(), v.index())).copied().unwrap_or(*a);
+            for &(v, a) in base.resource(i).members() {
+                let w = overlay.weight(v.index(), WeightKind::Consumption, i.index()).unwrap_or(a);
                 b.set_consumption(ri, agents[v.index()], w);
             }
         }
         for k in base.party_ids() {
             let pk = b.add_party();
-            for (v, c) in base.party(k).members() {
-                let w = bens.get(&(k.index(), v.index())).copied().unwrap_or(*c);
+            for &(v, c) in base.party(k).members() {
+                let w = overlay.weight(v.index(), WeightKind::Benefit, k.index()).unwrap_or(c);
                 b.set_benefit(pk, agents[v.index()], w);
             }
         }
         Ok(b.build().expect("weight edits preserve instance validity"))
+    }
+
+    /// Validates the edits against `base` into a [`WeightOverlay`]: the
+    /// edited entries sorted by `(agent, kind, row)`, the last edit of an
+    /// entry winning.  The edits are checked in order, so the error is the
+    /// first bad edit's.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`](InstanceDelta::apply).
+    pub(crate) fn overlay(&self, base: &MaxMinInstance) -> Result<WeightOverlay, DeltaError> {
+        let mut edits = Vec::with_capacity(self.edits.len());
+        for e in &self.edits {
+            if !e.weight.is_finite() || e.weight <= 0.0 {
+                return Err(DeltaError::BadWeight { weight: e.weight });
+            }
+            let members = match e.kind {
+                WeightKind::Consumption if e.row < base.num_resources() => {
+                    base.resource(ResourceId::new(e.row)).members()
+                }
+                WeightKind::Benefit if e.row < base.num_parties() => {
+                    base.party(PartyId::new(e.row)).members()
+                }
+                _ => &[],
+            };
+            if !members.iter().any(|(v, _)| v.index() == e.agent) {
+                return Err(DeltaError::UnknownEntry { kind: e.kind, row: e.row, agent: e.agent });
+            }
+            edits.push((e.agent, e.kind, e.row, e.weight));
+        }
+        // A stable sort keeps each entry's edits in delta order, so the last
+        // of a run is the edit that wins.
+        edits.sort_by_key(|&(agent, kind, row, _)| (agent, kind, row));
+        let mut overlay: Vec<(usize, WeightKind, usize, f64)> = Vec::with_capacity(edits.len());
+        for edit in edits {
+            match overlay.last_mut() {
+                Some(last) if (last.0, last.1, last.2) == (edit.0, edit.1, edit.2) => *last = edit,
+                _ => overlay.push(edit),
+            }
+        }
+        Ok(WeightOverlay { edits: overlay })
     }
 
     /// The distinct agents named by the edits, sorted ascending — the seeds
@@ -293,6 +304,34 @@ impl InstanceDelta {
     pub fn changed_agents(&self) -> Vec<usize> {
         let set: BTreeSet<usize> = self.edits.iter().map(|e| e.agent).collect();
         set.into_iter().collect()
+    }
+}
+
+/// A validated [`InstanceDelta`] as an overlay over its base instance: the
+/// ball presentation reads every coefficient from the base and the edited
+/// ones from here, so a re-solve never builds the patched instance.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct WeightOverlay {
+    /// `(agent, kind, row, weight)`, one per edited entry, sorted by
+    /// `(agent, kind, row)`.
+    edits: Vec<(usize, WeightKind, usize, f64)>,
+}
+
+/// The overlay of no delta: a sweep without one presents the instance as is.
+static NO_EDITS: WeightOverlay = WeightOverlay { edits: Vec::new() };
+
+impl WeightOverlay {
+    /// The edits of agent `v`, sorted by `(kind, row)`.
+    fn of_agent(&self, v: usize) -> &[(usize, WeightKind, usize, f64)] {
+        let start = self.edits.partition_point(|e| e.0 < v);
+        let len = self.edits[start..].partition_point(|e| e.0 == v);
+        &self.edits[start..start + len]
+    }
+
+    /// The edited weight of one entry, if the delta moved it.
+    fn weight(&self, agent: usize, kind: WeightKind, row: usize) -> Option<f64> {
+        let at = self.edits.binary_search_by_key(&(agent, kind, row), |e| (e.0, e.1, e.2));
+        at.ok().map(|i| self.edits[i].3)
     }
 }
 
@@ -386,7 +425,9 @@ pub struct StageTimings {
 /// [`distinct_presentations`](SolveStats::distinct_presentations) (equal to
 /// [`lps_built`](SolveStats::lps_built)) is the per-shard sum.
 /// [`stage_shards`](SolveStats::stage_shards) holds that one stage: the
-/// solve and scatter run host-side.
+/// solve and scatter run host-side.  An empty delta does no work, so its
+/// stats count no balls, presentations, solves, pivots or stages; only the
+/// class counts describe the (base) batch.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveStats {
     /// Number of balls enumerated (= number of agents).
@@ -1133,7 +1174,7 @@ impl RegisteredBase {
         let empty = InstanceDelta { base_version: self.version, edits: vec![] };
         let stage = DeltaPresentWireStage {
             base: &self.instance,
-            patched: &self.instance,
+            overlay: &NO_EDITS,
             cache: &self.neighbors,
             radius: self.options.radius,
             base_version: self.version,
@@ -1210,7 +1251,10 @@ pub struct IncrementalRun {
     /// of the backend.  The base context is *not* included: it ships once
     /// per worker at first use and is deduped afterwards
     /// ([`RegisteredBase::context_wire_bytes`]).  Neither are the replies,
-    /// which carry the affected balls' canonical forms.
+    /// which carry each shard's canonical forms as key words plus
+    /// labelling; on a transport backend the driver counts them per shard
+    /// in the batch's `stage_shards`
+    /// ([`StageStats::reply_bytes`]).
     pub resolve_wire_bytes: usize,
 }
 
@@ -1218,8 +1262,10 @@ pub struct IncrementalRun {
 /// delta can affect.
 ///
 /// The pipeline: (1') re-present the affected balls through the
-/// `mmlp/present-delta@3` stage — across the backend, shipping only the
-/// edits and the affected-agent lists against the deduped base context;
+/// `mmlp/present-delta@4` stage — across the backend, shipping only the
+/// edits and the affected-agent lists against the deduped base context,
+/// each side reading the base's coefficients through the delta's edit
+/// overlay, so no side rebuilds the patched instance;
 /// (2') in the same worker round trip, canonicalise each shard's distinct
 /// presentations, so a reply carries each ball's presentation id and the
 /// shard's class table, and the host merges the shard tables; (3') number
@@ -1233,7 +1279,9 @@ pub struct IncrementalRun {
 /// A memo hit is the solution of a bit-identical canonical LP, so the
 /// returned solutions, balls, class numbering, class keys and class
 /// solutions equal a cold solve of the patched instance bit for bit — only
-/// the work (and the wire bytes) scale with the churn.
+/// the work (and the wire bytes) scale with the churn.  An empty delta
+/// returns the base batch with zeroed work counters: no balls, solves,
+/// pivots or stage runs.
 ///
 /// # Errors
 ///
@@ -1284,7 +1332,7 @@ pub fn solve_local_lps_incremental_on<B: SolveBackend>(
         }
         .into());
     }
-    let patched = delta.apply(&base.instance)?;
+    let overlay = delta.overlay(&base.instance)?;
     let changed = delta.changed_agents();
     let affected: Vec<usize> = {
         let mut enumerator = BallEnumerator::new(&base.neighbors);
@@ -1295,15 +1343,20 @@ pub fn solve_local_lps_incremental_on<B: SolveBackend>(
         set.into_iter().collect()
     };
     if affected.is_empty() {
-        // An empty delta: the base batch *is* the cold solve of `patched`.
+        // An empty delta: the base batch *is* the cold solve of the patched
+        // instance, and the re-solve did no work.
+        let mut batch = base.batch.clone();
+        let classes = batch.class_keys.len();
+        batch.stats =
+            SolveStats { unique_classes: classes, quasi_classes: classes, ..SolveStats::default() };
         return Ok(IncrementalRun {
-            batch: base.batch.clone(),
+            batch,
             changed_agents: changed.len(),
             affected_agents: 0,
             resolve_wire_bytes: 0,
         });
     }
-    let (batch, resolve_wire_bytes) = run_incremental(base, delta, &patched, &affected, backend)?;
+    let (batch, resolve_wire_bytes) = run_incremental(base, delta, &overlay, &affected, backend)?;
     Ok(IncrementalRun {
         batch,
         changed_agents: changed.len(),
@@ -1316,7 +1369,7 @@ pub fn solve_local_lps_incremental_on<B: SolveBackend>(
 fn run_incremental<B: SolveBackend>(
     base: &RegisteredBase,
     delta: &InstanceDelta,
-    patched: &MaxMinInstance,
+    overlay: &WeightOverlay,
     affected: &[usize],
     backend: &B,
 ) -> Result<(LocalLpBatch, usize), EngineError> {
@@ -1332,7 +1385,7 @@ fn run_incremental<B: SolveBackend>(
     let stage = Instant::now();
     let delta_stage = DeltaPresentWireStage {
         base: &base.instance,
-        patched,
+        overlay,
         cache: &base.neighbors,
         radius: options.radius,
         base_version: base.version,
@@ -1568,34 +1621,36 @@ pub(crate) fn present_shard(
     epsilon: f64,
     range: Range<usize>,
 ) -> ShardPresentation {
-    present_agent_list(instance, cache, radius, epsilon, range)
+    present_agent_list(PresentSweep::new(instance, epsilon), cache, radius, range)
 }
 
 /// Stage 1' body (the delta path): the same presentation sweep over an
 /// explicit agent list — incremental re-solves present only the affected
-/// balls, which are rarely a contiguous range — followed by the stage 2
-/// body on the shard's distinct presentations, so a re-solve needs one
-/// round trip.  Deltas are exact-mode only, so the sweep never quantises.
+/// balls, which are rarely a contiguous range — reading the base's
+/// coefficients through the delta's overlay, followed by the stage 2 body
+/// on the shard's distinct presentations, so a re-solve needs one round
+/// trip and builds no patched instance.  Deltas are exact-mode only, so the
+/// sweep never quantises.
 pub(crate) fn present_and_canonicalise_agents(
-    instance: &MaxMinInstance,
+    base: &MaxMinInstance,
+    overlay: &WeightOverlay,
     cache: &NeighborCache,
     radius: usize,
     agents: &[usize],
 ) -> ShardDeltaClasses {
-    let presented = present_agent_list(instance, cache, radius, 0.0, agents.iter().copied());
+    let sweep = PresentSweep::with_overlay(base, overlay);
+    let presented = present_agent_list(sweep, cache, radius, agents.iter().copied());
     let lps: Vec<&MaxMinInstance> = presented.reps.iter().map(|r| &r.instance).collect();
     ShardDeltaClasses { pres_of_ball: presented.pres_of_ball, classes: canonicalise_shard(&lps) }
 }
 
 fn present_agent_list(
-    instance: &MaxMinInstance,
+    mut sweep: PresentSweep<'_>,
     cache: &NeighborCache,
     radius: usize,
-    epsilon: f64,
     agents: impl Iterator<Item = usize>,
 ) -> ShardPresentation {
     let mut enumerator = BallEnumerator::new(cache);
-    let mut sweep = PresentSweep::new(instance, epsilon);
     // Shard-local presentation table, in first-occurrence order.  Only a
     // first occurrence builds its LP; every repeat costs its key words and
     // one lookup.
@@ -1607,7 +1662,7 @@ fn present_agent_list(
     for u in agents {
         let ball = enumerator.ball(u, radius);
         sweep.present(&ball);
-        if epsilon > 0.0 {
+        if sweep.epsilon > 0.0 {
             slack_of_ball.push(sweep.slack);
         }
         let id = match by_key.get(sweep.key.as_slice()) {
@@ -1641,11 +1696,20 @@ fn present_agent_list(
 /// the built LP are those of the quantised ball LP, and
 /// [`slack`](PresentSweep::slack) records what the snap cost this ball.
 ///
+/// With a [`WeightOverlay`] ([`with_overlay`](PresentSweep::with_overlay))
+/// the sweep presents the instance the overlay's delta would patch the base
+/// into: the edited coefficients replace the base's in the sorted buffers,
+/// before the key is written, so the key and the LP equal those of the
+/// patched instance bit for bit.
+///
 /// The one ball-LP builder: the engine's present stage and the per-agent
 /// view rule ([`crate::local_averaging::local_averaging_activity_from_view`])
 /// both build their LPs here, so the two present bit-identical LPs.
 pub(crate) struct PresentSweep<'a> {
     instance: &'a MaxMinInstance,
+    /// Edited coefficients that replace the instance's; empty off the delta
+    /// path.
+    overlay: &'a WeightOverlay,
     /// Grid coarseness; `0.0` presents the exact coefficients.
     epsilon: f64,
     /// `local_of[v]` is `v`'s index in the current ball, `usize::MAX` for
@@ -1659,8 +1723,8 @@ pub(crate) struct PresentSweep<'a> {
     /// `(local agent, c)` of the parties lying entirely inside the ball,
     /// party after party, each sorted by local agent.
     parties: Vec<(usize, f64)>,
-    /// End offset in `parties` of each kept party.
-    party_ends: Vec<usize>,
+    /// `(party, end offset in parties)` of each kept party, sorted by party.
+    party_ends: Vec<(usize, usize)>,
     /// The current ball's presentation key: the LP's dimensions, then
     /// every resource (`SEP_RESOURCE`, then `local, a` pairs) and every
     /// kept party (`SEP_PARTY`, then `local, c` pairs) in id order.
@@ -1674,6 +1738,7 @@ impl<'a> PresentSweep<'a> {
     pub(crate) fn new(instance: &'a MaxMinInstance, epsilon: f64) -> Self {
         Self {
             instance,
+            overlay: &NO_EDITS,
             epsilon,
             local_of: vec![usize::MAX; instance.num_agents()],
             resources: Vec::new(),
@@ -1683,6 +1748,12 @@ impl<'a> PresentSweep<'a> {
             key: Vec::new(),
             slack: 0.0,
         }
+    }
+
+    /// Presents the base instance patched by `overlay` (exact coefficients:
+    /// deltas apply to exact-mode bases only).
+    pub(crate) fn with_overlay(instance: &'a MaxMinInstance, overlay: &'a WeightOverlay) -> Self {
+        Self { overlay, ..Self::new(instance, 0.0) }
     }
 
     /// Fills the buffers and the key for one (sorted) ball.
@@ -1716,10 +1787,13 @@ impl<'a> PresentSweep<'a> {
                 self.parties.push((local, c));
             }
             self.parties[start..].sort_unstable_by_key(|&(local, _)| local);
-            self.party_ends.push(self.parties.len());
+            self.party_ends.push((k, self.parties.len()));
         }
         for &v in ball {
             self.local_of[v] = usize::MAX;
+        }
+        if !self.overlay.edits.is_empty() {
+            self.patch(ball);
         }
         if self.epsilon > 0.0 {
             self.quantise();
@@ -1740,12 +1814,42 @@ impl<'a> PresentSweep<'a> {
         }
         key[1] = num_resources;
         let mut start = 0;
-        for &end in &self.party_ends {
+        for &(_, end) in &self.party_ends {
             key.push(SEP_PARTY);
             for &(local, c) in &self.parties[start..end] {
                 key.extend([local as u64, c.to_bits()]);
             }
             start = end;
+        }
+    }
+
+    /// Overwrites the ball's edited coefficients with the overlay's weights.
+    /// Every resource of a ball agent is in the buffers, so a consumption
+    /// edit always lands; a benefit edit lands when its party is kept.
+    fn patch(&mut self, ball: &[usize]) {
+        let overlay = self.overlay;
+        for (local, &v) in ball.iter().enumerate() {
+            for &(_, kind, row, w) in overlay.of_agent(v) {
+                let entry = match kind {
+                    WeightKind::Consumption => self
+                        .resources
+                        .binary_search_by_key(&(row, local), |&(i, l, _)| (i, l))
+                        .ok()
+                        .map(|at| &mut self.resources[at].2),
+                    WeightKind::Benefit => {
+                        let Ok(p) = self.party_ends.binary_search_by_key(&row, |&(k, _)| k) else {
+                            continue;
+                        };
+                        let begin = p.checked_sub(1).map_or(0, |q| self.party_ends[q].1);
+                        let members = &mut self.parties[begin..self.party_ends[p].1];
+                        members
+                            .binary_search_by_key(&local, |&(l, _)| l)
+                            .ok()
+                            .map(|at| &mut members[at].1)
+                    }
+                };
+                *entry.expect("a validated edit names an entry of its agent") = w;
+            }
         }
     }
 
@@ -1792,7 +1896,7 @@ impl<'a> PresentSweep<'a> {
             b.set_consumption(resource, agents[local], a);
         }
         let mut start = 0;
-        for &end in &self.party_ends {
+        for &(_, end) in &self.party_ends {
             let k = b.add_party();
             for &(local, c) in &self.parties[start..end] {
                 b.set_benefit(k, agents[local], c);
@@ -1871,7 +1975,7 @@ mod tests {
         RandomInstanceConfig, SkewedBipartiteConfig,
     };
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn grid(side: usize, torus: bool) -> MaxMinInstance {
         let cfg = GridConfig { side_lengths: vec![side, side], torus, random_weights: false };
@@ -2003,9 +2107,10 @@ mod tests {
                         .collect();
                     let delta = InstanceDelta { base_version: 0, edits };
                     let patched = delta.apply(inst).unwrap();
+                    let overlay = delta.overlay(inst).unwrap();
                     let agents: Vec<usize> = (0..n).rev().step_by(2).collect();
-                    let got =
-                        present_agent_list(&patched, &cache, radius, 0.0, agents.iter().copied());
+                    let sweep = PresentSweep::with_overlay(inst, &overlay);
+                    let got = present_agent_list(sweep, &cache, radius, agents.iter().copied());
                     assert_matches_reference(
                         &format!("{label} delta"),
                         &got,
@@ -2015,7 +2120,8 @@ mod tests {
                     );
                     // The fused delta stage keeps the sweep's ids and
                     // canonicalises each presentation.
-                    let fused = present_and_canonicalise_agents(&patched, &cache, radius, &agents);
+                    let fused =
+                        present_and_canonicalise_agents(inst, &overlay, &cache, radius, &agents);
                     assert_eq!(fused.pres_of_ball, got.pres_of_ball, "{label} fused");
                     assert_eq!(fused.classes.forms.len(), got.reps.len(), "{label} fused");
                     for (form, rep) in fused.classes.forms.iter().zip(&got.reps) {
@@ -2024,6 +2130,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded delta over `inst`: edits of random existing entries of both
+    /// kinds, among them entries edited twice (the second edit wins), edits
+    /// that restore the base weight (no-ops) and an entry edited away and
+    /// back.
+    fn seeded_delta(inst: &MaxMinInstance, seed: u64) -> InstanceDelta {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = inst.num_agents();
+        let mut edits = Vec::new();
+        for _ in 0..1 + n / 6 {
+            let v = rng.gen_range(0..n);
+            let agent = inst.agent(AgentId::new(v));
+            let (kind, row, w) = if rng.gen::<bool>() || agent.parties.is_empty() {
+                let (i, a) = agent.resources[rng.gen_range(0..agent.resources.len())];
+                (WeightKind::Consumption, i.index(), a)
+            } else {
+                let (k, c) = agent.parties[rng.gen_range(0..agent.parties.len())];
+                (WeightKind::Benefit, k.index(), c)
+            };
+            let edit = |weight| WeightEdit { kind, row, agent: v, weight };
+            match rng.gen_range(0..4u32) {
+                0 => edits.push(edit(w)),
+                1 => edits.extend([edit(w * 3.0), edit(w * 0.5)]),
+                2 => edits.extend([edit(w * 2.0), edit(w)]),
+                _ => edits.push(edit(w * rng.gen_range(0.5..2.0))),
+            }
+        }
+        InstanceDelta { base_version: 0, edits }
+    }
+
+    #[test]
+    fn overlay_presentation_equals_presenting_the_applied_delta() {
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let inst = if seed % 2 == 0 {
+                random_instance(
+                    &RandomInstanceConfig { num_agents: 18 + seed as usize, ..Default::default() },
+                    &mut rng,
+                )
+            } else {
+                let cfg =
+                    GridConfig { side_lengths: vec![5, 6], torus: false, random_weights: true };
+                grid_instance(&cfg, &mut rng)
+            };
+            let (h, _) = communication_hypergraph(&inst);
+            let cache = h.neighbor_cache();
+            let delta = seeded_delta(&inst, 100 + seed);
+            let patched = delta.apply(&inst).unwrap();
+            let overlay = delta.overlay(&inst).unwrap();
+            // One overlay entry per edited entry, whatever the repeats.
+            let mut entries: Vec<_> =
+                delta.edits.iter().map(|e| (e.agent, e.kind, e.row)).collect();
+            entries.sort();
+            entries.dedup();
+            assert_eq!(overlay.edits.len(), entries.len(), "seed {seed}");
+            let all: Vec<usize> = (0..inst.num_agents()).collect();
+            for radius in [1usize, 2] {
+                let label = format!("seed {seed} R={radius}");
+                let via_overlay = present_agent_list(
+                    PresentSweep::with_overlay(&inst, &overlay),
+                    &cache,
+                    radius,
+                    all.iter().copied(),
+                );
+                let via_apply = present_shard(&patched, &cache, radius, 0.0, 0..all.len());
+                assert_eq!(via_overlay.balls, via_apply.balls, "{label}");
+                assert_eq!(via_overlay.pres_of_ball, via_apply.pres_of_ball, "{label}");
+                assert_eq!(via_overlay.reps.len(), via_apply.reps.len(), "{label}");
+                for (a, b) in via_overlay.reps.iter().zip(&via_apply.reps) {
+                    assert_eq!(a.key, b.key, "{label}");
+                    assert_eq!(a.instance, b.instance, "{label}");
+                }
+                let fused = present_and_canonicalise_agents(&inst, &overlay, &cache, radius, &all);
+                let lps: Vec<&MaxMinInstance> =
+                    via_apply.reps.iter().map(|r| &r.instance).collect();
+                let reference = canonicalise_shard(&lps);
+                assert_eq!(fused.pres_of_ball, via_apply.pres_of_ball, "{label}");
+                assert_eq!(fused.classes.forms, reference.forms, "{label}");
+                assert_eq!(fused.classes.class_of, reference.class_of, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_keeps_the_typed_delta_errors() {
+        let (inst, _) = weighted_grid_and_delta(0);
+        let (v, a) = inst.resource(ResourceId::new(0)).members()[0];
+        let good =
+            WeightEdit { kind: WeightKind::Consumption, row: 0, agent: v.index(), weight: a };
+        let outside = WeightEdit { row: inst.num_resources(), ..good };
+        let non_member = WeightEdit { agent: inst.num_agents(), ..good };
+        for weight in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let delta =
+                InstanceDelta { base_version: 0, edits: vec![good, WeightEdit { weight, ..good }] };
+            assert!(matches!(delta.apply(&inst), Err(DeltaError::BadWeight { .. })), "{weight}");
+        }
+        for bad in [outside, non_member, WeightEdit { kind: WeightKind::Benefit, ..outside }] {
+            let delta = InstanceDelta { base_version: 0, edits: vec![good, bad] };
+            assert_eq!(
+                delta.apply(&inst),
+                Err(DeltaError::UnknownEntry { kind: bad.kind, row: bad.row, agent: bad.agent })
+            );
+        }
+        // The first bad edit decides the error.
+        let delta = InstanceDelta {
+            base_version: 0,
+            edits: vec![outside, WeightEdit { weight: -1.0, ..good }],
+        };
+        assert!(matches!(delta.apply(&inst), Err(DeltaError::UnknownEntry { .. })));
     }
 
     #[test]
@@ -2247,7 +2463,7 @@ mod tests {
         let stages: Vec<&str> = batch.stats.stage_shards.iter().map(|s| s.stage).collect();
         assert_eq!(
             stages,
-            vec!["mmlp/present@2", "mmlp/canonicalise@1", "mmlp/solve@2", "mmlp/scatter@1"]
+            vec!["mmlp/present@2", "mmlp/canonicalise@2", "mmlp/solve@2", "mmlp/scatter@1"]
         );
         assert_eq!(batch.stats.stage_shards[0].items(), inst.num_agents());
         assert_eq!(batch.stats.stage_shards[3].items(), inst.num_agents());
@@ -2381,8 +2597,19 @@ mod tests {
             solve_local_lps_incremental(&base, &InstanceDelta { base_version: 4, edits: vec![] })
                 .unwrap();
         assert_eq!(run.batch.local_x, base.batch().local_x);
+        assert_eq!(run.batch.class_keys, base.batch().class_keys);
         assert_eq!(run.affected_agents, 0);
         assert_eq!(run.resolve_wire_bytes, 0);
+        // It did no work, and its stats say so.
+        let s = &run.batch.stats;
+        assert_eq!(
+            (s.balls_enumerated, s.distinct_presentations, s.lps_built, s.cache_hits),
+            (0, 0, 0, 0)
+        );
+        assert_eq!((s.memo_hits, s.lp_solves, s.total_pivots), (0, 0, 0));
+        assert!(s.stage_shards.is_empty(), "{:?}", s.stage_shards);
+        assert_eq!(s.timings, StageTimings::default());
+        assert_eq!(s.unique_classes, base.batch().class_keys.len());
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! | stage id               | context                          | job (per shard)                | reply                             |
 //! |------------------------|----------------------------------|--------------------------------|-----------------------------------|
 //! | `mmlp/present@2`       | radius + `ε` + full instance     | agent range                    | `ShardPresentation` + slacks      |
-//! | `mmlp/present-delta@3` | radius + version + base instance | weight edits + affected agents | presentation ids + `ShardClasses` |
-//! | `mmlp/canonicalise@1`  | —                                | the shard's presented LPs      | `ShardClasses`                    |
+//! | `mmlp/present-delta@4` | radius + version + base instance | weight edits + affected agents | presentation ids + `ShardClasses` |
+//! | `mmlp/canonicalise@2`  | —                                | the shard's presented LPs      | `ShardClasses`                    |
 //! | `mmlp/solve@2`         | simplex options                  | canonical LP list              | solved LPs / typed errors         |
 //! | `mmlp/scatter@1`       | deduplicated solutions           | (labelling, solution idx) list | per-ball activity vectors         |
 //!
 //! The lifted mode runs these same stages: the present stage quantises the
 //! ball LPs onto the `(1+ε)^b` grid and reports each ball's measured slack.
+//! A `ShardClasses` reply ships each canonical form as its key words and
+//! labelling only: the key is the flat encoding of the canonical LP, so the
+//! host decodes the LP from it ([`CanonicalForm::from_parts`]).
 //!
 //! Host and worker share the *same per-shard stage functions*
 //! ([`present_shard`](crate::engine), [`canonicalise_shard`](crate::engine),
@@ -34,7 +37,7 @@
 use crate::engine::{
     canonicalise_shard, present_and_canonicalise_agents, present_shard, solve_shard,
     unpermute_values, InstanceDelta, PresentedLp, ShardClasses, ShardDeltaClasses,
-    ShardPresentation, SolvedLp, WeightEdit, WeightKind,
+    ShardPresentation, SolvedLp, WeightEdit, WeightKind, WeightOverlay,
 };
 use crate::runner::{LocalRuleProgram, LOCAL_RULE_PROGRAM_ID};
 use mmlp_core::canonical::{CanonicalForm, CanonicalKey};
@@ -62,9 +65,9 @@ pub const STAGE_PRESENT: &str = "mmlp/present@2";
 /// by the transport's per-stage context cache), each job carries only a
 /// weight delta against that version and the affected-agent list, and each
 /// reply the shard's presentation ids and canonical class table.
-pub const STAGE_PRESENT_DELTA: &str = "mmlp/present-delta@3";
+pub const STAGE_PRESENT_DELTA: &str = "mmlp/present-delta@4";
 /// Stage identifier of the *canonicalise* stage.
-pub const STAGE_CANONICALISE: &str = "mmlp/canonicalise@1";
+pub const STAGE_CANONICALISE: &str = "mmlp/canonicalise@2";
 /// Stage identifier of the *solve* stage.
 pub const STAGE_SOLVE: &str = "mmlp/solve@2";
 /// Stage identifier of the *scatter* stage.
@@ -225,27 +228,28 @@ pub fn read_instance_delta(
     Ok(InstanceDelta { base_version, edits })
 }
 
-/// Encodes a canonical form (key words, labelling, canonical instance).
+/// Encodes a canonical form as its key words and its labelling.  The
+/// canonical instance is not shipped: the key is its flat encoding.
 pub fn put_canonical_form(out: &mut Vec<u8>, form: &CanonicalForm) {
     put_u64s(out, form.key.as_words());
     put_usizes(out, &form.labelling);
-    put_instance(out, &form.instance);
 }
 
-/// Decodes a canonical form.
+/// Decodes a canonical form, rebuilding the canonical instance from the key
+/// words through the [`InstanceBuilder`] checks [`read_instance`] applies
+/// ([`CanonicalForm::from_parts`]).
 ///
 /// # Errors
 ///
-/// Typed [`WireError`]s on malformed input.
+/// Typed [`WireError`]s on truncated input, and [`WireError::Decode`] for a
+/// labelling that is not a permutation of `0..n` or key words that do not
+/// encode a valid `n`-agent instance — byte noise errors out, it never
+/// panics.
 pub fn read_canonical_form(r: &mut ByteReader<'_>) -> Result<CanonicalForm, WireError> {
     const CTX: &str = "canonical form";
     let key = CanonicalKey::from_words(r.u64s(CTX)?);
     let labelling = r.usizes(CTX)?;
-    let instance = read_instance(r)?;
-    if labelling.len() != instance.num_agents() {
-        return Err(WireError::Decode { context: CTX });
-    }
-    Ok(CanonicalForm { key, labelling, instance })
+    CanonicalForm::from_parts(key, labelling).ok_or(WireError::Decode { context: CTX })
 }
 
 fn put_solved_lp(out: &mut Vec<u8>, lp: &SolvedLp) {
@@ -452,15 +456,18 @@ impl WireStage for PresentWireStage<'_> {
 /// to the transport's per-stage context dedup); each job ships only the
 /// weight edits and the shard's slice of the affected-agent list — the
 /// per-re-solve job bytes scale with the churn, not the instance.  The
-/// worker presents the shard's balls *and* canonicalises its distinct
-/// presentations, so a re-solve needs one round trip; the reply carries
-/// each ball's presentation id and the shard's class table, never the
-/// balls or their presented LPs.
+/// worker presents the shard's balls from its resident base through the
+/// delta's edit overlay *and* canonicalises its distinct presentations, so
+/// a re-solve needs one round trip and no side rebuilds the instance; the
+/// reply carries each ball's presentation id and the shard's class table,
+/// never the balls or their presented LPs.
 pub(crate) struct DeltaPresentWireStage<'a> {
     /// The registered base instance (travels in the context, once).
     pub(crate) base: &'a MaxMinInstance,
-    /// The patched instance (host-side only; `run_local` presents from it).
-    pub(crate) patched: &'a MaxMinInstance,
+    /// The delta validated against the base (host-side only; `run_local`
+    /// presents through it, a worker builds its own from the shipped
+    /// delta).
+    pub(crate) overlay: &'a WeightOverlay,
     /// Neighbour cache of the base (deltas never change the topology).
     pub(crate) cache: &'a NeighborCache,
     pub(crate) radius: usize,
@@ -494,7 +501,8 @@ impl WireStage for DeltaPresentWireStage<'_> {
 
     fn run_local(&self, shard: &Shard) -> Self::Output {
         present_and_canonicalise_agents(
-            self.patched,
+            self.base,
+            self.overlay,
             self.cache,
             self.radius,
             &self.affected[shard.range()],
@@ -701,8 +709,14 @@ fn handle_present_delta(ctx: &[u8], job: &[u8], cache: &mut StageCache) -> Resul
     if agents.iter().any(|&u| u >= state.instance.num_agents()) {
         return Err("present-delta agent out of bounds".to_string());
     }
-    let patched = delta.apply(&state.instance).map_err(|e| e.to_string())?;
-    let result = present_and_canonicalise_agents(&patched, &state.neighbors, state.radius, &agents);
+    let overlay = delta.overlay(&state.instance).map_err(|e| e.to_string())?;
+    let result = present_and_canonicalise_agents(
+        &state.instance,
+        &overlay,
+        &state.neighbors,
+        state.radius,
+        &agents,
+    );
     let mut out = Vec::new();
     put_shard_delta_classes(&mut out, &result);
     Ok(out)
@@ -973,6 +987,56 @@ mod tests {
     }
 
     #[test]
+    fn a_canonical_form_ships_as_key_words_and_labelling_only() {
+        for inst in sample_instances() {
+            let form = canonical_form(&inst);
+            let mut bytes = Vec::new();
+            put_canonical_form(&mut bytes, &form);
+            let words = form.key.as_words().len();
+            assert_eq!(bytes.len(), 8 * (1 + words) + 8 * (1 + form.labelling.len()));
+        }
+    }
+
+    #[test]
+    fn a_reply_whose_labelling_is_not_a_permutation_is_a_decode_error() {
+        let inst = &sample_instances()[0];
+        let (h, _) = communication_hypergraph(inst);
+        let cache = h.neighbor_cache();
+        let agents = [0, 5, 7];
+        let good =
+            present_and_canonicalise_agents(inst, &WeightOverlay::default(), &cache, 1, &agents);
+        let n = good.classes.forms[0].labelling.len();
+        assert!(n >= 2);
+        // A repeated entry, an entry past the ball, one entry too few and
+        // one too many: each would panic the host in `unpermute_values`.
+        let mut repeated = good.classes.forms[0].labelling.clone();
+        repeated[1] = repeated[0];
+        let mut past = good.classes.forms[0].labelling.clone();
+        past[0] = n;
+        let short = good.classes.forms[0].labelling[1..].to_vec();
+        let long: Vec<usize> = (0..=n).collect();
+        for labelling in [repeated, past, short, long] {
+            // The crafted reply: the good one with form 0's labelling
+            // replaced, written field by field.
+            let mut bytes = Vec::new();
+            put_usizes(&mut bytes, &good.pres_of_ball);
+            put_usize(&mut bytes, good.classes.forms.len());
+            for (f, form) in good.classes.forms.iter().enumerate() {
+                put_u64s(&mut bytes, form.key.as_words());
+                put_usizes(&mut bytes, if f == 0 { &labelling } else { &form.labelling });
+            }
+            put_usizes(&mut bytes, &good.classes.class_reps);
+            put_usizes(&mut bytes, &good.classes.class_of);
+            let result = read_shard_delta_classes(&mut ByteReader::new(&bytes), agents.len());
+            assert!(
+                matches!(result, Err(WireError::Decode { context: "canonical form" })),
+                "{labelling:?}: {:?}",
+                result.map(|_| ())
+            );
+        }
+    }
+
+    #[test]
     fn shard_presentation_codec_roundtrips_and_rejects_bad_slacks() {
         let decode = |bytes: &[u8]| read_shard_presentation(&mut ByteReader::new(bytes));
         let encode = |sp: &ShardPresentation| {
@@ -1037,7 +1101,13 @@ mod tests {
             // Three balls (a repeat among them) keep the every-prefix
             // truncation loop cheap.
             let agents = [0, 2, 0];
-            let sd = present_and_canonicalise_agents(&inst, &cache, 1, &agents);
+            let sd = present_and_canonicalise_agents(
+                &inst,
+                &WeightOverlay::default(),
+                &cache,
+                1,
+                &agents,
+            );
             let bytes = encode(&sd);
             let mut r = ByteReader::new(&bytes);
             let decoded = read_shard_delta_classes(&mut r, agents.len()).unwrap();

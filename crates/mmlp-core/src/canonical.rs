@@ -31,7 +31,8 @@
 //! practice; highly symmetric balls simply explore one branch per
 //! automorphism-equivalent choice.
 
-use crate::ids::AgentId;
+use crate::builder::InstanceBuilder;
+use crate::ids::{AgentId, PartyId, ResourceId};
 use crate::instance::{Agent, MaxMinInstance, Party, Resource};
 use std::cell::OnceCell;
 
@@ -92,6 +93,30 @@ pub struct CanonicalForm {
 }
 
 impl CanonicalForm {
+    /// Rebuilds a canonical form from its key and labelling, which is all a
+    /// transport needs to ship: the key *is* the flat encoding of the
+    /// canonical instance, so the instance is decoded from it.
+    ///
+    /// Returns `None` unless `labelling` is a permutation of `0..n`, where
+    /// `n` is the key's agent count, and the key words are a well-formed
+    /// encoding of a valid instance: the declared resource and party counts
+    /// match the sections, resources precede parties, every entry names an
+    /// agent below `n` with a finite positive coefficient, and the
+    /// [`InstanceBuilder`] accepts the result.  Any words and labelling
+    /// either decode or return `None`; nothing panics.  A form that came
+    /// from [`canonical_form`] always round-trips.
+    pub fn from_parts(key: CanonicalKey, labelling: Vec<usize>) -> Option<CanonicalForm> {
+        let n = labelling.len();
+        let mut seen = vec![false; n];
+        for &c in &labelling {
+            if c >= n || std::mem::replace(&mut seen[c], true) {
+                return None;
+            }
+        }
+        let instance = decode_encoding(n, key.as_words())?;
+        Some(CanonicalForm { key, labelling, instance })
+    }
+
     /// Translates a solution of the canonical instance back to the original
     /// agent order: entry `v` of the result is the canonical solution's value
     /// for original agent `v`.
@@ -129,9 +154,11 @@ fn canonicalise(instance: &MaxMinInstance) -> (CanonicalForm, usize) {
     let leaves = ctx.search(colors, &mut best, &mut scratch);
     let (encoding, labelling) = best.expect("search always yields at least one labelling");
     // The winning encoding lists the canonically relabelled, sorted edges;
-    // the canonical instance is read straight off it.
-    let canonical = assemble(instance.num_agents(), &encoding);
-    (CanonicalForm { key: CanonicalKey(encoding), labelling, instance: canonical }, leaves)
+    // the canonical instance is read straight off it, by the same decoder
+    // that rebuilds a shipped form.
+    let form = CanonicalForm::from_parts(CanonicalKey(encoding), labelling)
+        .expect("the winning leaf encodes a relabelling of a valid instance");
+    (form, leaves)
 }
 
 /// Convenience wrapper returning only the key.
@@ -618,46 +645,64 @@ fn twin_classes(instance: &MaxMinInstance) -> Vec<usize> {
         .collect()
 }
 
-/// Assembles the canonical [`MaxMinInstance`] from a canonical encoding:
-/// every `SEP_RESOURCE` / `SEP_PARTY` word opens the next hyperedge of that
-/// kind, and every `SEP_ENTRY` is followed by one member's canonical index
-/// and coefficient bits.
-fn assemble(num_agents: usize, encoding: &[u64]) -> MaxMinInstance {
-    let mut agents = vec![Agent::default(); num_agents];
-    let mut resources: Vec<Resource> = Vec::with_capacity(encoding[1] as usize);
-    let mut parties: Vec<Party> = Vec::with_capacity(encoding[2] as usize);
-    let mut is_party = false;
-    let mut words = encoding[3..].iter().copied();
+/// Decodes a flat canonical encoding of an instance with `num_agents`
+/// agents: the three dimension words, then every `SEP_RESOURCE` /
+/// `SEP_PARTY` word opens the next hyperedge of that kind, and every
+/// `SEP_ENTRY` is followed by one member's canonical index and coefficient
+/// bits.  `None` for anything that is not such an encoding of a valid
+/// instance (see [`CanonicalForm::from_parts`]).
+fn decode_encoding(num_agents: usize, encoding: &[u64]) -> Option<MaxMinInstance> {
+    let (dims, words) = (encoding.get(..3)?, &encoding[3..]);
+    if dims[0] != num_agents as u64 {
+        return None;
+    }
+    // Every hyperedge occupies at least its separator word, which bounds
+    // both counts (and the capacities below) by the encoding's length.
+    let num_resources = usize::try_from(dims[1]).ok().filter(|&m| m <= words.len())?;
+    let num_parties = usize::try_from(dims[2]).ok().filter(|&p| p <= words.len())?;
+    let mut b = InstanceBuilder::with_capacity(num_agents, num_resources, num_parties);
+    b.allow_unconstrained_agents();
+    let agents = b.add_agents(num_agents);
+    let mut words = words.iter().copied();
+    let mut open: Option<Edge> = None;
     while let Some(word) = words.next() {
         match word {
-            SEP_RESOURCE => resources.push(Resource::default()),
-            SEP_PARTY => {
-                is_party = true;
-                parties.push(Party::default());
+            SEP_RESOURCE if b.num_parties() == 0 && b.num_resources() < num_resources => {
+                open = Some(Edge::Resource(b.add_resource()));
             }
-            _ => {
-                debug_assert_eq!(word, SEP_ENTRY);
-                let v = words.next().expect("an entry has an index") as usize;
-                let w = f64::from_bits(words.next().expect("an entry has a coefficient"));
-                if is_party {
-                    let k = crate::ids::party(parties.len() - 1);
-                    parties[k.index()].agents.push((AgentId::new(v), w));
-                    agents[v].parties.push((k, w));
-                } else {
-                    let i = crate::ids::resource(resources.len() - 1);
-                    resources[i.index()].agents.push((AgentId::new(v), w));
-                    agents[v].resources.push((i, w));
+            SEP_PARTY if b.num_parties() < num_parties => {
+                open = Some(Edge::Party(b.add_party()));
+            }
+            SEP_ENTRY => {
+                let v = usize::try_from(words.next()?).ok().filter(|&v| v < num_agents)?;
+                let w = f64::from_bits(words.next()?);
+                if !w.is_finite() || w <= 0.0 {
+                    return None;
                 }
+                match open? {
+                    Edge::Resource(i) => b.set_consumption(i, agents[v], w),
+                    Edge::Party(k) => b.set_benefit(k, agents[v], w),
+                };
             }
+            _ => return None,
         }
     }
-    MaxMinInstance { agents, resources, parties }
+    if b.num_resources() != num_resources || b.num_parties() != num_parties {
+        return None;
+    }
+    b.build().ok()
+}
+
+/// The hyperedge an encoding's entries are currently filling.
+#[derive(Clone, Copy)]
+enum Edge {
+    Resource(ResourceId),
+    Party(PartyId),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::InstanceBuilder;
 
     /// A 4-cycle: agents 0-1-2-3-0, one resource per edge, one party per
     /// agent over its closed neighbourhood.
@@ -905,5 +950,60 @@ mod tests {
         let form = canonical_form(&single);
         assert_eq!(form.labelling, vec![0]);
         assert_eq!(form.instance, single);
+    }
+
+    #[test]
+    fn a_form_rebuilds_from_its_key_and_labelling() {
+        for inst in [cycle4(), cycle4().permute_agents(&[2, 0, 3, 1])] {
+            let form = canonical_form(&inst);
+            let rebuilt = CanonicalForm::from_parts(form.key.clone(), form.labelling.clone());
+            assert_eq!(rebuilt, Some(form));
+        }
+        let empty = canonical_form(&InstanceBuilder::new().build().unwrap());
+        assert_eq!(CanonicalForm::from_parts(empty.key.clone(), Vec::new()), Some(empty));
+    }
+
+    #[test]
+    fn from_parts_rejects_bad_labellings_and_malformed_keys() {
+        let form = canonical_form(&cycle4());
+        let words = form.key.as_words().to_vec();
+        let parts = |words: &[u64], labelling: &[usize]| {
+            CanonicalForm::from_parts(CanonicalKey::from_words(words.to_vec()), labelling.to_vec())
+        };
+        // Not a permutation of 0..4: a repeat, an entry out of range, and a
+        // labelling whose length is not the key's agent count.
+        for labelling in [&[0, 1, 1, 3][..], &[0, 1, 2, 4], &[0, 1, 2], &[0, 1, 2, 3, 4]] {
+            assert_eq!(parts(&words, labelling), None, "{labelling:?}");
+        }
+        // Every truncation of the key, and every single-word corruption to
+        // a sentinel, an out-of-range index or a bad coefficient, is either
+        // rejected or still a valid instance — never a panic.  A cut inside
+        // the dimensions, inside an entry or before the last hyperedge is
+        // always rejected.
+        let last_edge = words.iter().rposition(|&w| w == SEP_PARTY).unwrap();
+        for cut in 0..words.len() {
+            let rebuilt = parts(&words[..cut], &form.labelling);
+            if cut < 3 || cut <= last_edge || (cut - last_edge) % 3 != 1 {
+                assert_eq!(rebuilt, None, "cut at {cut}");
+            }
+        }
+        let bad_words =
+            [SEP_RESOURCE, SEP_PARTY, SEP_ENTRY, 4, u64::MAX - 3, 0, (-1.0f64).to_bits()];
+        for at in 0..words.len() {
+            for bad in bad_words.into_iter().chain([f64::NAN.to_bits(), f64::INFINITY.to_bits()]) {
+                let mut corrupted = words.clone();
+                corrupted[at] = bad;
+                if let Some(rebuilt) = parts(&corrupted, &form.labelling) {
+                    assert_eq!(rebuilt.instance.num_agents(), 4);
+                }
+            }
+        }
+        // Dimension words that disagree with the sections.
+        let mut more_resources = words.clone();
+        more_resources[1] += 1;
+        assert_eq!(parts(&more_resources, &form.labelling), None);
+        let mut huge = words;
+        huge[2] = u64::MAX / 2;
+        assert_eq!(parts(&huge, &form.labelling), None);
     }
 }

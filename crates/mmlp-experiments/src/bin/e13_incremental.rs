@@ -13,10 +13,12 @@
 //! This experiment sweeps the weight-churn rate on a fixed grid across the
 //! sequential, loopback and subprocess backends, and reports for each step:
 //! re-solve latency vs a cold solve of the same patched instance, the wire
-//! bytes the delta job occupies vs the one-time registered context, how
-//! many affected classes were memo hits vs cold solves, and how many engine
-//! stages (worker round trips) the re-solve ran — one, since the
-//! `present-delta` stage also canonicalises.  Every step asserts
+//! bytes the delta job occupies vs the one-time registered context, the
+//! bytes the workers' replies occupy (each affected shard's canonical forms
+//! as key words plus labelling; 0 in-process), how many affected classes
+//! were memo hits vs cold solves, and how many engine stages (worker round
+//! trips) the re-solve ran — one, since the `present-delta` stage also
+//! canonicalises, and none for the empty delta.  Every step asserts
 //! the incremental batch bit-identical to the cold one (solutions, balls,
 //! class numbering, class keys and class solutions).
 //!
@@ -31,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-const COLS: [usize; 9] = [22, 8, 10, 10, 10, 10, 12, 14, 8];
+const COLS: [usize; 10] = [22, 8, 10, 10, 10, 10, 12, 12, 14, 8];
 
 /// Builds a churn delta: `churn * num_agents` distinct agents (chosen by the
 /// seeded RNG), each with one incident weight rescaled by a factor in
@@ -133,6 +135,7 @@ fn main() {
             "cold ms".into(),
             "speedup".into(),
             "wire bytes".into(),
+            "reply bytes".into(),
             "memo/cold".into(),
             "stages".into(),
         ],
@@ -177,10 +180,16 @@ fn main() {
             assert_bit_identical(&run, &cold, &label);
 
             let s = &run.batch.stats;
-            // One worker round trip per re-solve.  An empty delta returns
-            // the base batch, registration stats included.
+            let reply_bytes: usize = s.stage_shards.iter().map(StageStats::reply_bytes).sum();
+            // One worker round trip per re-solve, whose replies cross the
+            // transport on every backend but the sequential one.  An empty
+            // delta returns the base batch and does no work at all.
             if run.affected_agents > 0 {
                 assert_eq!(s.stage_shards.len(), 1, "{label}: engine stages");
+                assert_eq!(reply_bytes > 0, name != "sequential", "{label}: reply bytes");
+            } else {
+                assert!(s.stage_shards.is_empty(), "{label}: engine stages");
+                assert_eq!((s.memo_hits, s.lp_solves, s.total_pivots), (0, 0, 0), "{label}");
             }
             print_row(
                 &[
@@ -191,6 +200,7 @@ fn main() {
                     fmt(cold_ms, 2),
                     fmt(cold_ms / resolve_ms.max(1e-9), 1),
                     run.resolve_wire_bytes.to_string(),
+                    reply_bytes.to_string(),
                     format!("{}/{}", s.memo_hits, s.lp_solves),
                     s.stage_shards.len().to_string(),
                 ],
@@ -205,6 +215,7 @@ fn main() {
                     ("resolve_ms", resolve_ms),
                     ("cold_ms", cold_ms),
                     ("wire_bytes", run.resolve_wire_bytes as f64),
+                    ("reply_bytes", reply_bytes as f64),
                     ("register_bytes", register_bytes as f64),
                     ("pivots", s.total_pivots as f64),
                     ("cold_pivots", cold.stats.total_pivots as f64),
@@ -217,8 +228,10 @@ fn main() {
     }
 
     println!("\nThe registered context crosses each worker link once; after that a re-solve");
-    println!("ships only the delta and the affected-ball lists — wire bytes and latency");
-    println!("scale with the churn, never with the instance size.");
+    println!("ships only the delta and the affected-agent lists, and the replies carry only");
+    println!("the affected shards' canonical forms: both byte counts grow with the churn.");
+    println!("Neither side rebuilds the patched instance, but latency is measured here at");
+    println!("one instance size, and the speedup over a cold solve shrinks as churn grows.");
 
     match report.write() {
         Ok(path) => println!("\nWrote machine-readable summary: {}", path.display()),

@@ -553,9 +553,15 @@ impl ShardDriver {
                         states[w].inflight.retain(|&s| s != seq);
                         let mut reader = ByteReader::new(&frame.payload);
                         let wall = Duration::from_nanos(reader.u64("reply wall-clock")?);
-                        let output = stage.decode_reply(&plan[idx], reader.rest())?;
-                        results[idx] =
-                            Some((output, ShardStats { shard: idx, items: plan[idx].len(), wall }));
+                        let reply = reader.rest();
+                        let output = stage.decode_reply(&plan[idx], reply)?;
+                        let stats = ShardStats {
+                            shard: idx,
+                            items: plan[idx].len(),
+                            wall,
+                            reply_bytes: reply.len(),
+                        };
+                        results[idx] = Some((output, stats));
                         if idx == next {
                             break;
                         }
@@ -910,6 +916,33 @@ mod tests {
                 assert_eq!(outputs, reference(items, shards), "{mode:?} {items}/{shards}");
             }
         }
+    }
+
+    #[test]
+    fn shard_stats_count_each_reply_payload_once() {
+        let reg = registry();
+        let stage = OffsetStage { base: 7 };
+        let plan = balanced_plan(10, 4);
+        for mode in [DriverMode::Lockstep, DriverMode::Overlapped] {
+            let driver = ShardDriver { workers: 2, mode, max_retries: 0 };
+            let mut pool = LinkPool::new();
+            // Duplicated replies are dropped by the merge, so they count
+            // once too.
+            let faults = FaultPlan { duplicate_replies: vec![0, 1], ..FaultPlan::none() };
+            let mut spawn = |w: usize| -> Result<Box<dyn WorkerLink>, TransportError> {
+                Ok(Box::new(LoopbackLink::with_faults(reg.clone(), w, faults.clone()))
+                    as Box<dyn WorkerLink>)
+            };
+            let run = driver.run("test", &stage, &plan, &mut pool, &mut spawn).unwrap();
+            for (shard, stats) in plan.iter().zip(&run.stats.shards) {
+                // A length word, then one u64 per item.
+                assert_eq!(stats.reply_bytes, 8 + 8 * shard.len(), "{mode:?}");
+            }
+            assert_eq!(run.stats.reply_bytes(), 8 * (plan.len() + 10), "{mode:?}");
+        }
+        // In-process shards send no replies.
+        let local = crate::SolveBackend::execute_stage(&crate::Sequential, 10, &stage).unwrap();
+        assert_eq!(local.stats.reply_bytes(), 0);
     }
 
     #[test]

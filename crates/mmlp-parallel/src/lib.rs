@@ -245,8 +245,8 @@ impl Shard {
     }
 }
 
-/// What one shard of a stage did: how many items it processed and how long
-/// it took.
+/// What one shard of a stage did: how many items it processed, how long it
+/// took and how many reply bytes it sent back.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Shard index within the stage.
@@ -255,6 +255,9 @@ pub struct ShardStats {
     pub items: usize,
     /// Wall-clock the shard's stage function ran for.
     pub wall: Duration,
+    /// Bytes of the stage reply the shard's worker sent back (the payload
+    /// [`WireStage::decode_reply`] decoded); 0 for a shard run in-process.
+    pub reply_bytes: usize,
 }
 
 /// Per-shard statistics of one executed pipeline stage.
@@ -277,6 +280,12 @@ impl StageStats {
     /// Total number of work items across all shards.
     pub fn items(&self) -> usize {
         self.shards.iter().map(|s| s.items).sum()
+    }
+
+    /// Total reply bytes across all shards: what the stage's workers sent
+    /// back, 0 when every shard ran in-process.
+    pub fn reply_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.reply_bytes).sum()
     }
 
     /// The wall-clock of the slowest *shard*.
@@ -436,7 +445,8 @@ where
 {
     let clock = Instant::now();
     let out = f(shard);
-    (out, ShardStats { shard: shard.index, items: shard.len(), wall: clock.elapsed() })
+    let wall = clock.elapsed();
+    (out, ShardStats { shard: shard.index, items: shard.len(), wall, reply_bytes: 0 })
 }
 
 fn run_plan<R, F>(

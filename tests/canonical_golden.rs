@@ -27,10 +27,17 @@
 //! class objective, the class map and the largest measured slack.  Where in
 //! the pipeline the coefficients are quantised is an implementation detail;
 //! these outputs are not.
+//!
+//! Last, the transport ships a canonical form as its key words and
+//! labelling only; a final test checks that the key-only codec rebuilds
+//! every class's canonical LP of these inputs exactly.
 
+use maxmin_local_lp::algorithms::transport::{put_canonical_form, read_canonical_form};
+use maxmin_local_lp::parallel::wire::ByteReader;
 use maxmin_local_lp::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -225,4 +232,55 @@ fn lifted_output_fingerprints_are_pinned() {
         1432043210412934461,
         "jittered torus, R = 1, ε = 0.2"
     );
+}
+
+#[test]
+fn the_key_only_codec_rebuilds_every_golden_canonical_lp() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let inputs = [
+        ("20×20 grid, R = 2", grid(20, false), 2, 0.0),
+        ("8×8 torus, R = 2", grid(8, true), 2, 0.0),
+        ("skewed jittered, R = 1", skewed_jittered(), 1, 0.0),
+        ("skewed jittered, R = 1, ε = 0.05", skewed_jittered(), 1, 0.05),
+        ("jittered torus, R = 1, ε = 0.05", jittered_torus(), 1, 0.05),
+    ];
+    for (label, instance, radius, epsilon) in inputs {
+        let (graph, _) = communication_hypergraph(&instance);
+        let mut classes = HashSet::new();
+        for u in 0..instance.num_agents() {
+            let ball: Vec<AgentId> = graph.ball(u, radius).into_iter().map(AgentId::new).collect();
+            let (lp, _) = instance.restrict_to_agents(&ball);
+            // The form the canonicalise stage computes on the worker.
+            let form = quasi_canonical_form(&lp, epsilon).form;
+            if !classes.insert(form.key.clone()) {
+                continue;
+            }
+            let mut bytes = Vec::new();
+            put_canonical_form(&mut bytes, &form);
+            let mut r = ByteReader::new(&bytes);
+            let decoded = read_canonical_form(&mut r).unwrap();
+            assert!(r.is_empty(), "{label}, ball {u}");
+            assert_eq!(decoded.instance, form.instance, "{label}, ball {u}");
+            assert_eq!(decoded, form, "{label}, ball {u}");
+            // The first classes also face every truncation and byte noise:
+            // a typed error or a valid form, never a panic.
+            if classes.len() > 4 {
+                continue;
+            }
+            for cut in 0..bytes.len() {
+                assert!(read_canonical_form(&mut ByteReader::new(&bytes[..cut])).is_err());
+            }
+            for _ in 0..200 {
+                let mut noisy = bytes.clone();
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..noisy.len());
+                    noisy[at] = rng.gen_range(0u64..256) as u8;
+                }
+                if let Ok(form) = read_canonical_form(&mut ByteReader::new(&noisy)) {
+                    assert_eq!(form.labelling.len(), form.instance.num_agents());
+                }
+            }
+        }
+        assert!(!classes.is_empty(), "{label}");
+    }
 }

@@ -368,7 +368,7 @@ fn one_delta_does_the_same_work_in_one_round_trip_on_every_backend() {
         // Present and canonicalise share one stage; solve and scatter run
         // host-side.
         assert_eq!(s.stage_shards.len(), 1, "{backend:?}: {:?}", s.stage_shards);
-        assert_eq!(s.stage_shards[0].stage, "mmlp/present-delta@3");
+        assert_eq!(s.stage_shards[0].stage, "mmlp/present-delta@4");
         assert_eq!(s.timings.canonicalise, std::time::Duration::ZERO);
         work.push((s.memo_hits, s.lp_solves, s.total_pivots, run.resolve_wire_bytes));
     }

@@ -227,11 +227,18 @@ impl WireStage for RetiredStage {
 #[test]
 fn a_worker_asked_for_a_retired_engine_stage_answers_unknown_stage() {
     // The lifted canonicalise stage (quantisation moved into the present
-    // stage), the present payloads it superseded, and the two-round-trip
-    // delta stage the fused present-and-canonicalise one replaced.
-    for id in
-        ["mmlp/present-lifted@1", "mmlp/present@1", "mmlp/present-delta@1", "mmlp/present-delta@2"]
-    {
+    // stage), the present payloads it superseded, the two-round-trip delta
+    // stage the fused present-and-canonicalise one replaced, and the two
+    // stages whose reply forms still carried the canonical LP beside its
+    // key.
+    for id in [
+        "mmlp/present-lifted@1",
+        "mmlp/present@1",
+        "mmlp/present-delta@1",
+        "mmlp/present-delta@2",
+        "mmlp/present-delta@3",
+        "mmlp/canonicalise@1",
+    ] {
         let expect_unknown =
             |label: &str, result: Result<StageRun<()>, TransportError>| match result {
                 Err(TransportError::Worker { message, .. }) => assert!(
